@@ -1,16 +1,37 @@
-"""Unreduced-rational fast path for bulk tropical relation checking.
+"""Integer max-plus kernel for bulk tropical relation checking.
 
-Matrices become grids of ``(num, den)`` integer pairs (``None`` for the
-additive zero -inf); fractions are never reduced, comparisons and
-equality cross-multiply, so everything stays exact while avoiding
-object construction in the hot loops.  This mirrors the residuation
-decider from the green module; tests pin the two paths against each
-other on random inputs.
+Multiplying every payload by one rational ``L > 0`` is an automorphism
+of the tropical semifield Q_max: it fixes -inf and commutes with max and
+with +, since ``L*max(x, y) = max(L*x, L*y)`` and
+``L*(x + y) = L*x + L*y``.  The relations decided here (leqL, leqR, L,
+R, H) are defined by products and equality alone, so they hold for
+``(a, b)`` exactly when they hold for ``(L*a, L*b)``.  With ``L`` the
+lcm of the denominators in a pair, both matrices become integer grids,
+and the residuals ``x - y`` of integers are integers: the principal
+solution and the check that it attains equality never leave Z (see
+Butkovic, *Max-linear Systems*, on residuation).  The integer carrier is
+the case ``L = 1``.  Values stay Python ints, which grow as needed:
+scaled magnitudes reach about 127 bits at the sampler's sizes, beyond
+any fixed-width type, and floats are never used.
+
+Grids are tuples of rows, with ``None`` for -inf.  The suite loop scales
+each pair and each map once (`scale_grids`), meets them at a common
+scale while applying the map (`apply_scaled`), and decides on the
+integer images (`decide`).
+
+`grid_of`, `map_rep`, `apply_map` and `related` keep the exact
+``(num, den)`` pair contract for callers that hold one matrix or one
+image at a time, such as independent oracles comparing an image with a
+reported matrix by value.  They scale and then delegate to the integer
+core, so there is one kernel.  Tests pin it against the residuation
+decider of the green module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 from .matrix import Matrix
 from .green import GreenRelation
@@ -42,42 +63,63 @@ def transpose_grid(g: tuple) -> tuple:
     return tuple(zip(*g))
 
 
+def scale_grids(*grids: tuple) -> tuple[int, tuple]:
+    """Scale (num, den) grids by the lcm L of their denominators.
+
+    Returns ``(L, int_grids)``, one integer grid per input, in order;
+    ``None`` (-inf) stays ``None``.
+    """
+    scale = lcm(*{x[1] for g in grids for row in g for x in row if x is not None})
+    return scale, tuple(
+        tuple(
+            tuple(None if x is None else x[0] * (scale // x[1]) for x in row)
+            for row in g
+        )
+        for g in grids
+    )
+
+
 def leq_l(agrid: tuple, bgrid: tuple) -> bool:
-    """Row-space containment via the principal solution, verified rowwise."""
-    bt = transpose_grid(bgrid)
+    """a leqL b on integer grids, row by row of a.
+
+    The principal solution of ``s*b = a`` is ``s_k = min_j (a_ij - b_kj)``
+    over the finite ``b_kj``, and always ``s*b <= a``.  Equality needs
+    ``max_k (s_k + b_kj) = a_ij`` for every finite ``a_ij``: some finite
+    ``s_k`` must attain its minimum at j.  A -inf ``a_ij`` forces
+    ``s_k = -inf`` for every finite ``b_kj``, so it always holds.  The
+    columns where each ``s_k`` attains its minimum are kept as a bit mask.
+    """
+    bits = [1 << j for j in range(len(agrid[0]))] if agrid else []
     for arow in agrid:
-        # greatest srow with srow * b <= arow
-        srow = []
+        need = 0
+        for bit, x in zip(bits, arow):
+            if x is not None:
+                need |= bit
+        covered = 0
         for brow in bgrid:
-            acc = _TOP
-            for x, y in zip(arow, brow):
+            s = _TOP  # stays _TOP for an all -inf row of b, which attains nothing
+            hit = 0
+            for bit, x, y in zip(bits, arow, brow):
                 if y is None:
                     continue
                 if x is None:
-                    acc = None
+                    s = None
                     break
-                rn, rd = x[0] * y[1] - y[0] * x[1], x[1] * y[1]
-                if acc is _TOP or (acc is not None and rn * acc[1] < acc[0] * rd):
-                    acc = (rn, rd)
-            srow.append((0, 1) if acc is _TOP else acc)
-        # verify (srow * b) == arow before moving on
-        for bcol, target in zip(bt, arow):
-            best = None
-            for s, y in zip(srow, bcol):
-                if s is None or y is None:
-                    continue
-                vn, vd = s[0] * y[1] + y[0] * s[1], s[1] * y[1]
-                if best is None or vn * best[1] > best[0] * vd:
-                    best = (vn, vd)
-            if best is None:
-                if target is not None:
-                    return False
-            elif target is None or best[0] * target[1] != target[0] * best[1]:
-                return False
+                d = x - y
+                if s is _TOP or d < s:
+                    s = d
+                    hit = bit
+                elif d == s:
+                    hit |= bit
+            if s is not None:
+                covered |= hit
+        if covered != need:
+            return False
     return True
 
 
-def related(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
+def decide(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
+    """Decide ``a rel b`` for integer grids at one common scale."""
     if rel is GreenRelation.LEQ_L:
         return leq_l(agrid, bgrid)
     if rel is GreenRelation.LEQ_R:
@@ -95,8 +137,14 @@ def related(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
     raise ValueError(f"no fast decider for {rel.value}")
 
 
+def related(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
+    """Decide ``a rel b`` for (num, den) grids."""
+    _, (a, b) = scale_grids(agrid, bgrid)
+    return decide(a, b, rel)
+
+
 def map_rep(u) -> tuple[tuple[int, ...], tuple]:
-    """Flatten a unit-permutation map to (cell targets, coefficient grid)."""
+    """Flatten a unit-permutation map to (cell targets, (num, den) coefficient grid)."""
     n = u.n
     cells = []
     coeffs = []
@@ -111,15 +159,25 @@ def map_rep(u) -> tuple[tuple[int, ...], tuple]:
     return tuple(cells), tuple(coeffs)
 
 
-def apply_map(cells: tuple[int, ...], coeffs: tuple, xgrid: tuple, n: int) -> tuple:
+def apply_scaled(
+    cells: tuple[int, ...], coeffs: tuple, xgrid: tuple, n: int, fc: int, fx: int
+) -> tuple:
+    """Apply a map to an integer grid, bringing both to one scale.
+
+    With coefficients scaled by ``L_u`` and the input by ``L_x``, the
+    factors ``fc = M // L_u`` and ``fx = M // L_x`` for a common
+    multiple ``M`` give the image at scale ``M``.
+    """
     flat: list = [None] * (n * n)
-    for i in range(n):
-        xrow = xgrid[i]
-        crow = coeffs[i]
-        for j in range(n):
-            x = xrow[j]
-            if x is None:
-                continue
-            c = crow[j]
-            flat[cells[i * n + j]] = (c[0] * x[1] + x[0] * c[1], c[1] * x[1])
-    return tuple(tuple(flat[k * n + l] for l in range(n)) for k in range(n))
+    for cell, c, x in zip(cells, chain.from_iterable(coeffs), chain.from_iterable(xgrid)):
+        if x is not None:
+            flat[cell] = c * fc + x * fx
+    return tuple([tuple(flat[k : k + n]) for k in range(0, n * n, n)])
+
+
+def apply_map(cells: tuple[int, ...], coeffs: tuple, xgrid: tuple, n: int) -> tuple:
+    """Apply a map to a (num, den) grid; the image is a (num, den) grid
+    whose fractions are not necessarily reduced."""
+    scale, (icoeffs, ix) = scale_grids(coeffs, xgrid)
+    image = apply_scaled(cells, icoeffs, ix, n, 1, 1)
+    return tuple(tuple(None if v is None else (v, scale) for v in row) for row in image)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .eggbox import eggbox, eggbox_to_dot, eggbox_to_json
@@ -113,7 +112,6 @@ def _cmd_verify(args) -> int:
         n=args.n,
         seed=args.seed,
         trials=args.trials,
-        workers=args.workers,
     )
     try:
         report = run_suite(args.suite, params)
@@ -185,7 +183,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n", type=int, default=2)
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--workers", type=int, default=max(os.cpu_count() or 1, 1))
     p_verify.add_argument("--style", default="json", choices=["json", "text"])
     p_verify.set_defaults(func=_cmd_verify)
 
@@ -200,9 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "workers", 1) is not None and getattr(args, "workers", 1) < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except _CliError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from ._boolspace import space
 from .green import factor_rank
 from .matrix import Matrix, matrix_to_json
-from .verify import UnsupportedParams
+from .semiring import UnsupportedParams
 
 
 @dataclass(frozen=True)

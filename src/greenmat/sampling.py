@@ -29,11 +29,6 @@ P_BOUND = 10**6
 Q_BOUND = 10**3
 
 
-def derive_seed(master: int, index: int) -> int:
-    """A deterministic child seed for worker/stream number ``index``."""
-    return (master * 0x9E3779B1 + index * 0x85EBCA77 + 1) % (1 << 63)
-
-
 def random_nonzero_scalar(rng: random.Random, semifield: Semifield) -> SemifieldValue:
     if semifield is Semifield.BOOLEAN:
         return semiring.one(semifield)

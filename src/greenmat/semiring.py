@@ -15,6 +15,7 @@ point anywhere in this package.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +34,10 @@ class NotInvertible(SemiringError):
 
 class ParseError(ValueError):
     """Text is not the canonical form of any element."""
+
+
+class UnsupportedParams(ValueError):
+    """A computation was requested outside the sizes or carriers it supports."""
 
 
 class Semifield(enum.Enum):
@@ -198,11 +203,22 @@ def format_value(x: SemifieldValue) -> str:
     return str(int(x.payload))
 
 
+#: Most digits accepted in the numerator or the denominator of a
+#: tropical entry; below Python's int/str conversion limit, so every
+#: parsed value formats back.
+MAX_ENTRY_DIGITS = 1000
+
+_TROPICAL_TEXT = re.compile(rf"-?[0-9]{{1,{MAX_ENTRY_DIGITS}}}(/[0-9]{{1,{MAX_ENTRY_DIGITS}}})?")
+
+
 def parse_value(semifield: Semifield, text: str) -> SemifieldValue:
     """Parse the canonical text form, rejecting everything else.
 
-    Strictness is enforced by a round trip: the parsed value must format
-    back to the input, so "2/4", "3/1", "-0", "0.5" and friends all fail.
+    Tropical text must have the shape ``-?digits(/digits)?`` within
+    MAX_ENTRY_DIGITS before any number is built, so "1e5000" and
+    "1e1000000000" are rejected without being expanded.  Strictness is
+    then enforced by a round trip: the parsed value must format back to
+    the input, so "2/4", "3/1", "-0" and friends all fail.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected a string, got {type(text).__name__}")
@@ -214,6 +230,12 @@ def parse_value(semifield: Semifield, text: str) -> SemifieldValue:
         raise ParseError(f"boolean entries are '0' or '1', got {text!r}")
     if text == "-inf":
         return zero(semifield)
+    if not _TROPICAL_TEXT.fullmatch(text):
+        shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+        raise ParseError(
+            f"cannot parse {shown}: expected -inf, p or p/q with at most "
+            f"{MAX_ENTRY_DIGITS} digits each"
+        )
     try:
         if semifield is Semifield.TROPICAL:
             parsed = value(semifield, Fraction(text))

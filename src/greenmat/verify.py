@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from math import lcm
 
 from . import _tropfast, sampling, semiring
 from ._boolspace import act_on_bits, all_cell_maps, space
@@ -28,7 +29,7 @@ from .linear_maps import (
     find_sticky,
 )
 from .matrix import matrix_to_json, monomial_to_json
-from .semiring import Semifield
+from .semiring import Semifield, UnsupportedParams
 
 SUITE_NAMES = (
     "t1",
@@ -46,10 +47,6 @@ class UnknownSuite(ValueError):
     pass
 
 
-class UnsupportedParams(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class SuiteParams:
     semifield: Semifield = Semifield.BOOLEAN
@@ -58,7 +55,6 @@ class SuiteParams:
     trials: int = 1000
     monomial_pairs: int = 100
     map_samples: int = 1000
-    workers: int = 1
 
 
 @dataclass(frozen=True)
@@ -554,9 +550,12 @@ def _corollaries_randomized(params: SuiteParams) -> SuiteReport:
     """Seeded check that X -> PXQ preserves L/R/leqL/leqR/H and X -> PX^TQ
     exchanges L with R (and the pre-orders) while preserving H.
 
-    Pair pools are shared across the monomial pairs; the bulk checks run
-    on the unreduced-rational fast path, and any apparent failure is
-    re-verified against the reference decider before being reported.
+    Pair pools are shared across the monomial pairs.  The bulk checks run
+    on the integer max-plus kernel: each pair is scaled once to its own
+    lcm of denominators, each map's coefficients once to theirs, and
+    both meet at the lcm of the two while the map is applied.  Any
+    apparent failure is re-verified against the reference decider
+    before being reported.
     """
     seed = _require_seed(params, "corollaries")
     sf, n = params.semifield, params.n
@@ -573,8 +572,8 @@ def _corollaries_randomized(params: SuiteParams) -> SuiteReport:
         rel: [sampling.related_pair(rng, sf, n, rel) for _ in range(per_rel)]
         for rel in pool_rels
     }
-    grid_pools = {
-        rel: [(_tropfast.grid_of(a), _tropfast.grid_of(b)) for a, b in pool]
+    scaled_pools = {
+        rel: [_tropfast.scale_grids(_tropfast.grid_of(a), _tropfast.grid_of(b)) for a, b in pool]
         for rel, pool in pools.items()
     }
     exchange_of = {
@@ -594,13 +593,16 @@ def _corollaries_randomized(params: SuiteParams) -> SuiteReport:
         for label, transposed in (("standard", False), ("transpose", True)):
             u = synthesize(CanonicalForm(p, q, transposed), n, sf)
             cells, coeffs = _tropfast.map_rep(u)
+            scale_u, (icoeffs,) = _tropfast.scale_grids(coeffs)
             for rel in pool_rels:
                 target = rel if label == "standard" else exchange_of[rel]
-                for pair_idx, (ga, gb) in enumerate(grid_pools[rel]):
+                for pair_idx, (scale_ab, (ga, gb)) in enumerate(scaled_pools[rel]):
                     pair_checks += 1
-                    ta = _tropfast.apply_map(cells, coeffs, ga, n)
-                    tb = _tropfast.apply_map(cells, coeffs, gb, n)
-                    if _tropfast.related(ta, tb, target):
+                    common = lcm(scale_ab, scale_u)
+                    fc, fx = common // scale_u, common // scale_ab
+                    ta = _tropfast.apply_scaled(cells, icoeffs, ga, n, fc, fx)
+                    tb = _tropfast.apply_scaled(cells, icoeffs, gb, n, fc, fx)
+                    if _tropfast.decide(ta, tb, target):
                         continue
                     a, b = pools[rel][pair_idx]
                     if relate(apply(u, a), apply(u, b), target):

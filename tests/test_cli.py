@@ -243,6 +243,15 @@ class TestParsing:
         assert cli.main(["rank", str(path)]) == 2
         assert "canonical" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["1e5000", "1e1000000000", "7" * 1001, "1/" + "3" * 1001])
+    def test_oversized_entry_is_one_line_error(self, capsys, tmp_path, text):
+        obj = {"semifield": "tropical", "rows": 1, "cols": 1, "entries": [[text]]}
+        path = write_json(tmp_path / "m.json", obj)
+        assert cli.main(["rank", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_wrong_arity(self, capsys, tmp_path):
         obj = matrix_to_json(zero_matrix(B, 2, 2))
         obj["entries"][1] = ["0"]
