@@ -14,10 +14,24 @@ the case ``L = 1``.  Values stay Python ints, which grow as needed:
 scaled magnitudes reach about 127 bits at the sampler's sizes, beyond
 any fixed-width type, and floats are never used.
 
-Grids are tuples of rows, with ``None`` for -inf.  The suite loop scales
-each pair and each map once (`scale_grids`), meets them at a common
-scale while applying the map (`apply_scaled`), and decides on the
-integer images (`decide`).
+Grids are tuples of rows, with ``None`` for -inf.  Two kinds of caller
+use the kernel:
+
+* the randomized ``corollaries`` loop of the verify module scales each
+  pair and each map once (`scale_grids`), meets them at a common scale
+  while applying the map (`apply_scaled`), and decides on the integer
+  images (`decide`);
+* callers holding two `Matrix` objects go through `decide_matrices`,
+  which sends the tropical carriers and the relations above to the
+  kernel and everything else (the boolean carrier, D, J, leqJ) to
+  ``green.relate``.  These are the randomized preservation and exchange
+  checks and the sticky search of the linear_maps module, and the
+  rejection tests of the sampling module.
+
+The kernel is trusted only on verdicts that agree with the paper's
+classification.  A verdict against it (a counterexample, a sticky
+survivor, a failed corollary) is re-decided by the reference decider
+through `reverify` before it is reported.
 
 `grid_of`, `map_rep`, `apply_map` and `related` keep the exact
 ``(num, den)`` pair contract for callers that hold one matrix or one
@@ -34,10 +48,15 @@ from itertools import chain
 from math import lcm
 
 from .matrix import Matrix
-from .green import GreenRelation
+from .green import GreenRelation, relate
 from .semiring import Semifield
 
 _TOP = object()
+
+#: The relations the integer kernel decides.
+KERNEL_RELATIONS = frozenset(
+    {GreenRelation.LEQ_L, GreenRelation.LEQ_R, GreenRelation.L, GreenRelation.R, GreenRelation.H}
+)
 
 
 def grid_of(a: Matrix) -> tuple:
@@ -141,6 +160,28 @@ def related(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
     """Decide ``a rel b`` for (num, den) grids."""
     _, (a, b) = scale_grids(agrid, bgrid)
     return decide(a, b, rel)
+
+
+def decide_matrices(a: Matrix, b: Matrix, rel: GreenRelation) -> bool:
+    """Decide ``a rel b`` on the kernel where it applies, else by ``green.relate``.
+
+    Mixed carriers and mismatched or non-square sizes also go to
+    ``green.relate``, which rejects them.
+    """
+    if (
+        rel in KERNEL_RELATIONS
+        and a.semifield.is_tropical
+        and a.semifield is b.semifield
+        and a.rows == a.cols == b.rows == b.cols
+    ):
+        return related(grid_of(a), grid_of(b), rel)
+    return relate(a, b, rel)
+
+
+def reverify(a: Matrix, b: Matrix, rel: GreenRelation, expected: bool) -> None:
+    """Raise AssertionError unless ``green.relate`` finds ``a rel b`` to be ``expected``."""
+    if relate(a, b, rel) is not expected:
+        raise AssertionError("fast path disagrees with the reference decider")
 
 
 def map_rep(u) -> tuple[tuple[int, ...], tuple]:

@@ -24,7 +24,6 @@ from .green import (
     decidable_over,
     factor_rank,
     has_factor_rank_at_most_one,
-    relate,
     relate_witness,
 )
 from .matrix import (
@@ -39,8 +38,7 @@ from .matrix import (
     zero_matrix,
 )
 from .semiring import MixedSemifields, Semifield, SemifieldValue
-from . import sampling
-from . import _boolspace
+from . import _boolspace, _tropfast, sampling
 
 
 class NotBijective(ValueError):
@@ -386,35 +384,64 @@ def check_preservation(
         return Verdict(name, "Preserved", "exhaustive", checked)
     if isinstance(mode, Randomized):
         _randomized_pre(u, [rel])
-        rng = random.Random(mode.seed)
-        checked = 0
-        for _ in range(mode.trials):
-            a, b = sampling.related_pair(rng, u.semifield, u.n, rel)
+        return _check_randomized(u, mode, name, strong, ((rel, rel),), ("unrelated", "related"))
+    raise UnsupportedMode(f"unknown mode {mode!r}")
+
+
+def _check_randomized(
+    u: UnitPermutationMap,
+    mode: Randomized,
+    name: str,
+    strong: bool,
+    directions: tuple[tuple[GreenRelation, GreenRelation], ...],
+    texts: tuple[str, str],
+) -> Verdict:
+    """Seeded check that a src b implies T(a) dst T(b) for each direction,
+    and in strong mode that unrelated pairs stay unrelated.
+
+    Pairs are decided by `_tropfast.decide_matrices`, on the integer
+    kernel wherever it applies.  A counterexample is re-decided by the
+    reference decider, premise and conclusion, before it is reported.
+    ``texts`` name the images in the details of the two kinds of
+    counterexample; ``{}`` stands for dst.
+    """
+    rng = random.Random(mode.seed)
+    checked = 0
+    for _ in range(mode.trials):
+        for src, dst in directions:
+            a, b = sampling.related_pair(rng, u.semifield, u.n, src)
             ta, tb = apply(u, a), apply(u, b)
             checked += 1
-            if not relate(ta, tb, rel):
-                cx = CounterexamplePair(
-                    a, b, ta, tb,
-                    f"a {rel.value} b holds but the images are unrelated",
-                    relate_witness(a, b, rel),
+            if not _tropfast.decide_matrices(ta, tb, dst):
+                cx = _reverified_counterexample(
+                    a, b, ta, tb, src, dst, True,
+                    f"a {src.value} b holds but the images are {texts[0].format(dst.value)}",
                 )
                 return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
             if strong:
-                pair = sampling.unrelated_pair(rng, u.semifield, u.n, rel)
+                pair = sampling.unrelated_pair(rng, u.semifield, u.n, src)
                 if pair is None:
                     continue
                 a2, b2 = pair
                 ta2, tb2 = apply(u, a2), apply(u, b2)
                 checked += 1
-                if relate(ta2, tb2, rel):
-                    cx = CounterexamplePair(
-                        a2, b2, ta2, tb2,
-                        f"a {rel.value} b fails but the images are related",
-                        relate_witness(ta2, tb2, rel),
+                if _tropfast.decide_matrices(ta2, tb2, dst):
+                    cx = _reverified_counterexample(
+                        a2, b2, ta2, tb2, src, dst, False,
+                        f"a {src.value} b fails but the images are {texts[1].format(dst.value)}",
                     )
                     return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
-        return Verdict(name, "NoCounterexampleFound", "randomized", checked, None, mode.seed)
-    raise UnsupportedMode(f"unknown mode {mode!r}")
+    return Verdict(name, "NoCounterexampleFound", "randomized", checked, None, mode.seed)
+
+
+def _reverified_counterexample(a, b, ta, tb, src, dst, holds: bool, detail: str):
+    """A counterexample to ``a src b => T(a) dst T(b)`` (holds) or to its
+    converse, once the reference decider agrees on premise and conclusion.
+    The witness certifies whichever side is related."""
+    _tropfast.reverify(a, b, src, holds)
+    _tropfast.reverify(ta, tb, dst, not holds)
+    witness = relate_witness(a, b, src) if holds else relate_witness(ta, tb, dst)
+    return CounterexamplePair(a, b, ta, tb, detail, witness)
 
 
 def _verdict_from_bits(sp, name, rel, mode_name, checked, a, b, u, direction):
@@ -468,37 +495,9 @@ def check_exchange(
         return Verdict(name, "Exchanges", "exhaustive", checked)
     if isinstance(mode, Randomized):
         _randomized_pre(u, [rel1, rel2])
-        rng = random.Random(mode.seed)
-        checked = 0
-        for _ in range(mode.trials):
-            for src, dst in ((rel1, rel2), (rel2, rel1)):
-                a, b = sampling.related_pair(rng, u.semifield, u.n, src)
-                ta, tb = apply(u, a), apply(u, b)
-                checked += 1
-                if not relate(ta, tb, dst):
-                    cx = CounterexamplePair(
-                        a, b, ta, tb,
-                        f"a {src.value} b holds but the images are not {dst.value}-related",
-                        relate_witness(a, b, src),
-                    )
-                    return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
-                if strong:
-                    unrel = sampling.unrelated_pair(rng, u.semifield, u.n, src)
-                    if unrel is None:
-                        continue
-                    a2, b2 = unrel
-                    ta2, tb2 = apply(u, a2), apply(u, b2)
-                    checked += 1
-                    if relate(ta2, tb2, dst):
-                        cx = CounterexamplePair(
-                            a2, b2, ta2, tb2,
-                            f"a {src.value} b fails but the images are {dst.value}-related",
-                            relate_witness(ta2, tb2, dst),
-                        )
-                        return Verdict(
-                            name, "Counterexample", "randomized", checked, cx, mode.seed
-                        )
-        return Verdict(name, "NoCounterexampleFound", "randomized", checked, None, mode.seed)
+        return _check_randomized(
+            u, mode, name, strong, ((rel1, rel2), (rel2, rel1)), ("not {}-related", "{}-related")
+        )
     raise UnsupportedMode(f"unknown mode {mode!r}")
 
 
@@ -555,8 +554,10 @@ def _refute_candidate(
     """First k among ks with A_k and B_k not H-related, or None if all survive."""
     for k, is_witness in ks:
         ak, bk = _sticky_pair(m, k)
-        if not relate(ak, bk, GreenRelation.H):
+        if not _tropfast.decide_matrices(ak, bk, GreenRelation.H):
             return StickyRefutation(m, "S3", k, is_witness)
+    for k, _ in ks:  # a survivor would refute the paper: the reference must agree
+        _tropfast.reverify(*_sticky_pair(m, k), GreenRelation.H, True)
     return None
 
 

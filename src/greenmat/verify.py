@@ -15,7 +15,7 @@ from math import lcm
 
 from . import _tropfast, sampling, semiring
 from ._boolspace import act_on_bits, all_cell_maps, space
-from .green import GreenRelation, factor_rank, relate
+from .green import GreenRelation, factor_rank
 from .linear_maps import (
     CanonicalForm,
     Exhaustive,
@@ -94,6 +94,10 @@ def run_suite(name: str, params: SuiteParams) -> SuiteReport:
         raise UnknownSuite(
             f"no suite named {name!r}; choose from {', '.join(SUITE_NAMES)}"
         ) from None
+    if params.n < 1:
+        raise UnsupportedParams(f"n must be at least 1, got {params.n}")
+    if params.trials < 1:
+        raise UnsupportedParams(f"trials must be at least 1, got {params.trials}")
     return impl(params)
 
 
@@ -605,10 +609,7 @@ def _corollaries_randomized(params: SuiteParams) -> SuiteReport:
                     if _tropfast.decide(ta, tb, target):
                         continue
                     a, b = pools[rel][pair_idx]
-                    if relate(apply(u, a), apply(u, b), target):
-                        raise AssertionError(
-                            "fast path disagrees with the reference decider"
-                        )
+                    _tropfast.reverify(apply(u, a), apply(u, b), target, False)
                     witnesses.append(
                         {
                             "monomial_pair_index": idx,

@@ -139,6 +139,33 @@ class TestVerify:
         assert code == 2
         assert "no suite named" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--suite", "t1", "--n", "0"],
+            ["--suite", "t1", "--n", "-1"],
+            ["--suite", "invertibles", "--n", "0"],
+            ["--suite", "rank_j_monotone", "--n", "0"],
+            ["--suite", "corollaries", "--semifield", "tropical", "--n", "0", "--seed", "1"],
+        ],
+    )
+    def test_nonpositive_n_is_one_line_error(self, capsys, args):
+        assert cli.main(["verify", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: n must be at least 1")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("suite", ["corollaries", "h_theorem"])
+    @pytest.mark.parametrize("trials", ["0", "-5"])
+    def test_nonpositive_trials_is_one_line_error(self, capsys, suite, trials):
+        argv = ["verify", "--suite", suite, "--semifield", "tropical", "--seed", "1",
+                "--trials", trials]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: trials must be at least 1, got {trials}\n"
+
     def test_suite_failure_exits_one(self, capsys, monkeypatch):
         fake = SuiteReport(
             "t1", "boolean", 2, "exhaustive", False,

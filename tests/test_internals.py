@@ -7,14 +7,15 @@ import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenmat import _boolspace, _tropfast, sampling
+from greenmat import _boolspace, _tropfast, sampling, semiring
 from greenmat import linear_maps as lm
 from greenmat import matrix as mx
-from greenmat.green import GreenRelation, relate
-from greenmat.matrix import all_boolean_matrices, mat_mul
-from greenmat.semiring import MINUS_INF, Semifield
+from greenmat.green import GreenRelation, UndecidableOverSemifield, relate
+from greenmat.matrix import DimensionMismatch, all_boolean_matrices, mat_mul
+from greenmat.semiring import MINUS_INF, MixedSemifields, Semifield
 from greenmat.verify import SuiteParams, run_suite
 
 GR = GreenRelation
@@ -208,6 +209,129 @@ class TestTropfast:
                 assert _grids_equal(got, _tropfast.grid_of(expected))
 
 
+def _assert_dispatch_matches_reference(a, b):
+    for rel in _FAST_RELS:
+        assert _tropfast.decide_matrices(a, b, rel) == relate(a, b, rel), rel
+
+
+class TestDecideMatrices:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32), st.sampled_from((T, TI)), st.integers(1, 3),
+        st.sampled_from(_FAST_RELS),
+    )
+    def test_matches_reference_on_sampled_pairs(self, seed, sf, n, rel):
+        rng = random.Random(seed)
+        _assert_dispatch_matches_reference(*sampling.related_pair(rng, sf, n, rel))
+        pair = sampling.unrelated_pair(rng, sf, n, rel)
+        if pair is not None:
+            _assert_dispatch_matches_reference(*pair)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: _pairs(T, n, (1, 2, 3, 8), (5, 9, 10), True)))
+    def test_matches_reference_mixed_denominators_and_minus_inf_lines(self, pair):
+        _assert_dispatch_matches_reference(*pair)
+
+    @pytest.mark.parametrize(
+        "rows_a, rows_b",
+        [
+            ([[0]], [[Fraction(5, 3)]]),
+            ([[None]], [[1]]),
+            ([[None]], [[None]]),
+            ([[None, None], [1, 2]], [[0, 1], [3, Fraction(1, 2)]]),
+            ([[0, 1], [3, Fraction(1, 2)]], [[None, None], [1, 2]]),
+            ([[None, 4], [None, Fraction(-1, 3)]], [[2, 4], [None, 0]]),
+            ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 7]],
+             [[Fraction(1, 7), 0], [Fraction(2, 9), Fraction(1, 11)]]),
+            ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 7]],
+             [[Fraction(2, 3), Fraction(1, 2)], [Fraction(11, 30), Fraction(43, 6)]]),
+        ],
+    )
+    def test_matches_reference_on_edge_cases(self, rows_a, rows_b):
+        """1x1, all -inf lines, mixed denominators (the last pair is H-related)."""
+        _assert_dispatch_matches_reference(_matrix(T, rows_a), _matrix(T, rows_b))
+
+    def test_other_carriers_and_relations_go_to_reference(self, monkeypatch):
+        rng = random.Random(5)
+        pairs = [sampling.related_pair(rng, B, 2, rel) for rel in GR]
+        pairs.append((sampling.random_matrix(rng, B, 2), sampling.random_matrix(rng, B, 2)))
+        monkeypatch.setattr(_tropfast, "related", None)  # the kernel must not be reached
+        for a, b in pairs:
+            for rel in GR:
+                assert _tropfast.decide_matrices(a, b, rel) == relate(a, b, rel), rel
+
+    def test_invalid_inputs_raise_as_the_reference_does(self):
+        a = _matrix(T, [[0, 1], [2, None]])
+        with pytest.raises(MixedSemifields):
+            _tropfast.decide_matrices(a, _matrix(TI, [[0, 1], [2, None]]), GR.L)
+        with pytest.raises(DimensionMismatch):
+            _tropfast.decide_matrices(a, _matrix(T, [[0]]), GR.H)
+        with pytest.raises(UndecidableOverSemifield):
+            _tropfast.decide_matrices(a, a, GR.D)
+
+
+def _noncanonical_map(rng, sf, n):
+    cells = list(range(n * n))
+    rng.shuffle(cells)
+    sigma = tuple(tuple(divmod(cells[i * n + j], n) for j in range(n)) for i in range(n))
+    alpha = tuple(
+        tuple(sampling.random_nonzero_scalar(rng, sf) for _ in range(n)) for _ in range(n)
+    )
+    return lm.UnitPermutationMap(n, sf, sigma, alpha)
+
+
+def _seeded_map(sf, n, kind, map_seed):
+    """A "standard" (X -> PXQ), "transpose" or "noncanonical" map from a seed."""
+    rng = random.Random(map_seed)
+    if kind == "noncanonical":
+        return _noncanonical_map(rng, sf, n)
+    p = sampling.random_monomial(rng, sf, n)
+    q = sampling.random_monomial(rng, sf, n)
+    return lm.synthesize(lm.CanonicalForm(p, q, kind == "transpose"), n, sf)
+
+
+class TestLyingKernel:
+    """A kernel that lies must end in AssertionError, never in a verdict
+    against the paper: every such verdict is re-decided by green.relate."""
+
+    @pytest.mark.parametrize("sf", (T, TI))
+    @pytest.mark.parametrize("strong", (False, True))
+    def test_false_negatives_do_not_become_counterexamples(self, monkeypatch, sf, strong):
+        monkeypatch.setattr(_tropfast, "related", lambda a, b, rel: False)
+        mode = lm.Randomized(seed=3, trials=5)
+        with pytest.raises(AssertionError, match="disagrees with the reference"):
+            lm.check_preservation(_seeded_map(sf, 2, "standard", 1), GR.L, mode, strong=strong)
+        with pytest.raises(AssertionError, match="disagrees with the reference"):
+            lm.check_exchange(_seeded_map(sf, 3, "transpose", 2), mode, strong=strong)
+
+    @pytest.mark.parametrize("sf", (T, TI))
+    def test_false_positives_do_not_become_counterexamples(self, monkeypatch, sf):
+        # honest sampling, so unrelated pairs reach the strong checks
+        monkeypatch.setattr(sampling, "decide_matrices", relate)
+        monkeypatch.setattr(_tropfast, "related", lambda a, b, rel: True)
+        mode = lm.Randomized(seed=4, trials=5)
+        with pytest.raises(AssertionError, match="disagrees with the reference"):
+            lm.check_preservation(_seeded_map(sf, 2, "standard", 3), GR.H, mode, strong=True)
+        with pytest.raises(AssertionError, match="disagrees with the reference"):
+            lm.check_exchange(
+                _seeded_map(sf, 2, "transpose", 4), mode, strong=True, pair=(GR.LEQ_L, GR.LEQ_R)
+            )
+
+    @pytest.mark.parametrize("sf", (T, TI))
+    def test_sticky_survivor_is_rechecked(self, monkeypatch, sf):
+        monkeypatch.setattr(_tropfast, "related", lambda a, b, rel: True)
+        with pytest.raises(AssertionError, match="disagrees with the reference"):
+            lm.find_sticky(sf, lm.RandomizedTropical(seed=1, trials=3))
+
+    def test_honest_kernel_against_a_lying_sampler_is_caught(self, monkeypatch):
+        # the sampler accepts every candidate pair as related; the premise
+        # of the resulting counterexample fails under the reference decider
+        monkeypatch.setattr(sampling, "decide_matrices", lambda a, b, rel: True)
+        u = _seeded_map(T, 2, "standard", 5)
+        with pytest.raises(AssertionError, match="disagrees with the reference"):
+            lm.check_preservation(u, GR.L, lm.Randomized(seed=0, trials=20))
+
+
 def _random_canonical_map(rng, sf, n):
     p = sampling.random_monomial(rng, sf, n)
     q = sampling.random_monomial(rng, sf, n)
@@ -239,3 +363,113 @@ def test_corollaries_reports_are_byte_identical_to_golden():
         params = SuiteParams(semifield=sf, n=n, seed=seed, trials=50, monomial_pairs=8)
         text = json.dumps(run_suite("corollaries", params).to_json_dict(), indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (sf, n, seed)
+
+
+def _verdict_text(v) -> str:
+    cx = v.counterexample
+    out = {
+        "checked": v.checked, "outcome": v.outcome, "mode": v.mode,
+        "pairs_checked": v.pairs_checked, "seed": v.seed, "counterexample": None,
+    }
+    if cx is not None:
+        out["counterexample"] = {
+            "a": mx.matrix_to_json(cx.a), "b": mx.matrix_to_json(cx.b),
+            "image_a": mx.matrix_to_json(cx.image_a), "image_b": mx.matrix_to_json(cx.image_b),
+            "detail": cx.detail,
+            "witness": None if cx.witness is None
+            else {k: mx.matrix_to_json(m) for k, m in cx.witness.items()},
+        }
+    return json.dumps(out, sort_keys=True)
+
+
+def _sticky_text(rep) -> str:
+    return json.dumps(
+        {
+            "semifield": rep.semifield, "mode": rep.mode, "candidates": rep.candidates,
+            "outcome": rep.outcome, "seed": rep.seed, "generator": rep.generator,
+            "survivor": None if rep.survivor is None else mx.matrix_to_json(rep.survivor),
+            "refutations": [
+                [mx.matrix_to_json(r.m), r.failed,
+                 None if r.k is None else semiring.format_value(r.k), r.k_is_square_root_witness]
+                for r in rep.refutations
+            ],
+        },
+        sort_keys=True,
+    )
+
+
+def _golden_verdict(case):
+    sf, n, kind, map_seed, rels, strong, seed, trials = case[:8]
+    u = _seeded_map(sf, n, kind, map_seed)
+    mode = lm.Randomized(seed=seed, trials=trials)
+    if len(rels) == 1:
+        return lm.check_preservation(u, rels[0], mode, strong=strong)
+    return lm.check_exchange(u, mode, strong=strong, pair=rels)
+
+
+# SHA-256 of `_verdict_text` of seeded randomized preservation and exchange
+# verdicts, recorded while every pair was decided by green.relate alone:
+# (carrier, n, map kind, map seed, relations, strong, check seed, trials, digest).
+# The non-canonical maps pin a counterexample and its witness in both
+# directions ("holds but ... unrelated" and "fails but ... related").
+_VERDICT_GOLDEN = (
+    (T, 2, "standard", 1, (GR.H,), False, 11, 25,
+     "3ab804c80796c13e5c680935a15906457fc8b409d783843b0d90e328ee522f35"),
+    (T, 2, "standard", 2, (GR.L,), True, 12, 15,
+     "13611c943a9ba28ad0539313c73dee2ebdb0c17bb011556f89f956598ccfedd3"),
+    (T, 2, "transpose", 3, (GR.L, GR.R), False, 13, 15,
+     "856f688933c59ea2250659d09d54b499426add151b23652d4b32ad3435cfe0b8"),
+    (T, 2, "transpose", 4, (GR.LEQ_L, GR.LEQ_R), True, 14, 10,
+     "7d11a236b30af0fc0fb7a48752db978f567d7cc799768027428456b8be5eb06d"),
+    (T, 3, "standard", 5, (GR.R,), False, 15, 20,
+     "4126bd2ea87356cac76b6ba1ef1dd0bb36c6b3a5b8e5c241834337d6e2e4668a"),
+    (T, 3, "standard", 6, (GR.LEQ_L,), True, 16, 10,
+     "90dca8813cd17690aec3ac0c9197b15de4f45199e70f4b66e3277fe3793527b0"),
+    (T, 3, "transpose", 7, (GR.L, GR.R), True, 17, 8,
+     "ddbd3b108186dc33eca9afba8943b5e4154874a8b0ba847e7af5302b5b31aff6"),
+    (T, 3, "transpose", 8, (GR.H,), False, 18, 15,
+     "0dd82b9b22bec3cb2b74afd0ae31623abdfb00aab7a36042866628ddf1803c21"),
+    (TI, 2, "standard", 9, (GR.LEQ_R,), False, 19, 25,
+     "83c77d85481c0736359319b23f1fd212ac386eb37e82a8c1db27e65c62e9f4ed"),
+    (TI, 2, "standard", 10, (GR.H,), True, 20, 15,
+     "1575d6b7bad0a008cfa53232b4f17313bd278f9b77937e6a63e2e26bac932a04"),
+    (TI, 2, "transpose", 11, (GR.LEQ_L, GR.LEQ_R), False, 21, 15,
+     "b63da2f73787f8dded6a7d95842d246e21cc6e4a94dcb7309a696b610686659e"),
+    (TI, 2, "transpose", 12, (GR.L, GR.R), True, 22, 10,
+     "b27dbfde57e0face5967efcdb2ff74821a83fa94dbef36e8a538bab59a28c1e3"),
+    (TI, 3, "standard", 13, (GR.L,), False, 23, 20,
+     "b4fbce8d6c427abbcb5be3efd0fffeb5956d1407ac6090c94a0883092e9bc5f4"),
+    (TI, 3, "standard", 14, (GR.H,), True, 24, 10,
+     "a25572b69a9fa025d91aa756ce02a37ce62b4daa5557f8cf05f22ab1d1c0fdd1"),
+    (TI, 3, "transpose", 15, (GR.LEQ_L, GR.LEQ_R), True, 25, 8,
+     "bd7f00eb51a348ed2c545e070a66e76c88f13f46b51f8f8d6ac02e4f457d9b8a"),
+    (TI, 3, "transpose", 16, (GR.R, GR.L), False, 26, 15,
+     "b3afbfe21139d4ba3d0a844410def09565c3ef60a495df74ad54c3d9439985d4"),
+    (T, 2, "noncanonical", 5, (GR.LEQ_R,), True, 5, 30,
+     "f6189c64f5c4df4a7e5b25b659c427b11508a3515c794b393596ce892dc0678a"),
+    (TI, 2, "noncanonical", 5, (GR.LEQ_L,), True, 5, 30,
+     "436d1554d0391b6de0548bc2448011656f3736eeb15e6d7650f56877b38dfca0"),
+    (T, 3, "noncanonical", 1, (GR.L,), False, 1, 30,
+     "2b7cdd96fd141fa3cf8fc57020979f533f37d318adb22a7647551048b44daa47"),
+    (TI, 3, "noncanonical", 2, (GR.H,), True, 2, 30,
+     "01a400bd34202a830f284d15a0ecc997bfccda573a314c84547ef11c9496e27e"),
+)
+
+# SHA-256 of `_sticky_text` of randomized sticky searches, recorded the same
+# way: (carrier, seed, candidates, digest).
+_STICKY_GOLDEN = (
+    (T, 6, 25, "465dafcbcaa8d4a0347f99ead21c9d453ff785f772a19ecfe20029ff910ef3b8"),
+    (TI, 9, 40, "ee495a9d12da9c0b1285553dd1551d1b26cfede97a51e690de819e108e2302a6"),
+)
+
+
+def test_randomized_verdicts_are_byte_identical_to_golden():
+    for case in _VERDICT_GOLDEN:
+        text = _verdict_text(_golden_verdict(case))
+        assert hashlib.sha256(text.encode()).hexdigest() == case[-1], case[:-1]
+
+
+def test_sticky_reports_are_byte_identical_to_golden():
+    for sf, seed, trials, digest in _STICKY_GOLDEN:
+        rep = lm.find_sticky(sf, lm.RandomizedTropical(seed=seed, trials=trials))
+        assert hashlib.sha256(_sticky_text(rep).encode()).hexdigest() == digest, (sf, seed)
