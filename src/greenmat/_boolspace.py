@@ -5,6 +5,12 @@ the same total order as matrix.all_boolean_matrices.  The relation
 deciders here are the residuation algorithm from the green module
 reimplemented on row bitmasks; tests pin their equivalence against the
 Matrix-level deciders, exhaustively at n = 2 and on samples at n = 3.
+
+Relation tables are built from the two pre-orders: L, R and H as
+intersections with converses, D = R o L and leqJ = leqL o leqR (a = s*b*t
+gives a leqL b*t leqR b).  Every exhaustive preservation or exchange
+check, of one map or of all of them, is one `first_violation` scan over
+these tables.
 """
 
 from __future__ import annotations
@@ -141,31 +147,13 @@ class BooleanSpace:
     def d_table(self) -> list[int]:
         if self.n > 2:
             raise ValueError("full D table is only built for n <= 2")
-        ltab, rtab = self.l_table, self.r_table
-        table = [0] * self.size
-        for a in range(self.size):
-            row = 0
-            reach = rtab[a]
-            for c in range(self.size):
-                if (reach >> c) & 1:
-                    row |= ltab[c]
-            table[a] = row
-        return table
+        return _compose(self.r_table, self.l_table)
 
     @functools.cached_property
     def leq_j_table(self) -> list[int]:
         if self.n > 2:
             raise ValueError("full leqJ table is only built for n <= 2")
-        table = [0] * self.size
-        for b in range(self.size):
-            reachable = set()
-            for s in range(self.size):
-                sb = self.mul(s, b)
-                for t in range(self.size):
-                    reachable.add(self.mul(sb, t))
-            for a in reachable:
-                table[a] |= 1 << b
-        return table
+        return _compose(self.leq_l_table, self.leq_r_table)
 
     @functools.cached_property
     def j_table(self) -> list[int]:
@@ -186,6 +174,14 @@ class BooleanSpace:
         }[rel]()
 
     def related(self, a: int, b: int, rel: GreenRelation) -> bool:
+        """Decide a rel b: L, R and H from the pre-orders, without building
+        a table; every other relation by a lookup in its table."""
+        if rel is GreenRelation.L:
+            return self.leq_l(a, b) and self.leq_l(b, a)
+        if rel is GreenRelation.R:
+            return self.leq_r(a, b) and self.leq_r(b, a)
+        if rel is GreenRelation.H:
+            return self.related(a, b, GreenRelation.L) and self.related(a, b, GreenRelation.R)
         return (self.table(rel)[a] >> b) & 1 == 1
 
 
@@ -200,6 +196,21 @@ def _converse(table: list[int], size: int) -> list[int]:
                 out[a] |= 1 << b
             row >>= 1
             a += 1
+    return out
+
+
+def _compose(first: list[int], second: list[int]) -> list[int]:
+    """The relation a first c, c second b, as bitmask rows."""
+    out = []
+    for row in first:
+        acc = 0
+        c = 0
+        while row:
+            if row & 1:
+                acc |= second[c]
+            row >>= 1
+            c += 1
+        out.append(acc)
     return out
 
 
@@ -226,3 +237,47 @@ def all_cell_maps(n: int):
     import itertools
 
     return itertools.permutations(range(n * n))
+
+
+def first_violation(table_pairs, tmap: list[int], strong: bool):
+    """The first pair that breaks ``a P b => T(a) C T(b)`` for a (P, C) in
+    table_pairs, or in strong mode also its converse.
+
+    tmap[m] is the image of matrix m.  Pairs are visited a, then b, then
+    each (P, C) in turn; ``checked`` counts the premises that held, or in
+    strong mode every visit.  Returns (checked, None) when nothing breaks,
+    else (checked, (a, b, k, holds)): k indexes table_pairs and holds says
+    whether a P b held.
+
+    Each a is decided a whole row at a time: the row of T(a) in C is
+    pulled back through tmap to the b with T(a) C T(b), and compared with
+    the row of a in P.  Only a broken row is searched for its first b.
+    """
+    inverse = [0] * len(tmap)
+    for m, t in enumerate(tmap):
+        inverse[t] = m
+    checked = 0
+    for a, ta in enumerate(tmap):
+        premises = [prem[a] for prem, _ in table_pairs]
+        broken = []
+        for prow, (_, conc) in zip(premises, table_pairs):
+            crow = conc[ta]
+            pulled = 0
+            while crow:
+                low = crow & -crow
+                pulled |= 1 << inverse[low.bit_length() - 1]
+                crow ^= low
+            broken.append(prow ^ pulled if strong else prow & ~pulled)
+        hits = [((x & -x).bit_length() - 1, k) for k, x in enumerate(broken) if x]
+        if not hits:
+            checked += len(tmap) * len(premises) if strong else sum(p.bit_count() for p in premises)
+            continue
+        b, k = min(hits)
+        if strong:
+            checked += b * len(premises) + k + 1
+        else:
+            below = (1 << b) - 1
+            checked += sum((p & below).bit_count() for p in premises)
+            checked += sum((p >> b) & 1 for p in premises[: k + 1])
+        return checked, (a, b, k, (premises[k] >> b) & 1 == 1)
+    return checked, None

@@ -9,6 +9,12 @@ transpose case) for monomial P, Q.  This module extracts that shape,
 classifies it, synthesizes maps back from canonical forms, and checks
 preservation/exchange of Green's relations exhaustively (boolean) or on
 seeded random pairs (tropical).
+
+The cell-structure test is `cell_shape`, shared with the exhaustive
+suites.  Preservation and exchange are one check over (src, dst)
+directions: exhaustively it is one `_boolspace.first_violation` scan of
+the relation tables, and every counterexample, exhaustive or randomized,
+is re-decided by the reference decider before it is reported.
 """
 
 from __future__ import annotations
@@ -193,36 +199,46 @@ def extract_unit_form(t: LinearMap) -> UnitPermutationMap:
 # --- classification ---------------------------------------------------------
 
 
+def cell_shape(cells, n: int) -> str | None:
+    """The structure of a cell permutation, row-major (unit (i, j) goes to
+    cell cells[i*n + j] = k*n + l): "standard" when (k, l) = (rho(i), tau(j)),
+    "transpose" when (k, l) = (tau(j), rho(i)), else None.
+
+    Units (0, 0) and (0, 1) sharing an image row leave only the standard
+    shape possible, else only the transpose; row 0 is checked first, so
+    most maps are rejected there.
+    """
+    flip = n > 1 and cells[1] // n != cells[0] // n
+    for i in range(0, n * n, n):
+        a = cells[i]
+        for j in range(1, n):
+            b = cells[j]
+            # the image row of unit (i, 0) and the image column of unit (0, j),
+            # or, flipped, the image row of (0, j) and the column of (i, 0)
+            want = (b - b % n) + a % n if flip else (a - a % n) + b % n
+            if cells[i + j] != want:
+                return None
+    return "transpose" if flip else "standard"
+
+
 def classify(u: UnitPermutationMap) -> ClassifyOutcome:
     """Decide whether u is X -> PXQ or X -> P X^T Q and build P, Q.
 
     Checks, in order: the cell permutation factors through a row and a
-    column permutation (directly or after a transpose), then the
-    coefficient matrix has factor rank one.  The coefficient split is
-    normalized by x_1 = 1 so classify/synthesize round-trip exactly.
+    column permutation (directly or after a transpose; `cell_shape`),
+    then the coefficient matrix has factor rank one.  The coefficient
+    split is normalized by x_1 = 1 so classify/synthesize round-trip
+    exactly.
     """
     n = u.n
     sigma = u.sigma
-    standard = all(
-        sigma[i][j][0] == sigma[i][0][0] and sigma[i][j][1] == sigma[0][j][1]
-        for i in range(n)
-        for j in range(n)
-    )
-    if standard:
-        rho = tuple(sigma[i][0][0] for i in range(n))
-        tau = tuple(sigma[0][j][1] for j in range(n))
-        transposed = False
-    else:
-        flipped = all(
-            sigma[i][j][0] == sigma[0][j][0] and sigma[i][j][1] == sigma[i][0][1]
-            for i in range(n)
-            for j in range(n)
-        )
-        if not flipped:
-            return NonCanonical(NonCanonicalReason.ROW_COLUMN_STRUCTURE_VIOLATED)
-        rho = tuple(sigma[i][0][1] for i in range(n))
-        tau = tuple(sigma[0][j][0] for j in range(n))
-        transposed = True
+    shape = cell_shape(_cell_map(u), n)
+    if shape is None:
+        return NonCanonical(NonCanonicalReason.ROW_COLUMN_STRUCTURE_VIOLATED)
+    transposed = shape == "transpose"
+    t = int(transposed)
+    rho = tuple(sigma[i][0][t] for i in range(n))
+    tau = tuple(sigma[0][j][1 - t] for j in range(n))
     coeffs = Matrix(u.semifield, n, n, u.alpha)
     if not has_factor_rank_at_most_one(coeffs):
         return NonCanonical(NonCanonicalReason.COEFFICIENTS_NOT_RANK_ONE)
@@ -363,100 +379,7 @@ def check_preservation(
 ) -> Verdict:
     """Does u preserve rel?  Strong mode also requires preserving its negation."""
     name = f"{'strongly preserves' if strong else 'preserves'} {rel.value}"
-    if isinstance(mode, Exhaustive):
-        _exhaustive_pre(u, [rel])
-        sp = _boolspace.space(u.n)
-        table = sp.table(rel)
-        act = _cell_map(u)
-        tmap = [_boolspace.act_on_bits(act, m) for m in range(sp.size)]
-        checked = 0
-        for a in range(sp.size):
-            row = table[a]
-            for b in range(sp.size):
-                premise = (row >> b) & 1
-                conclusion = (table[tmap[a]] >> tmap[b]) & 1
-                if premise or strong:
-                    checked += 1
-                if premise and not conclusion:
-                    return _verdict_from_bits(sp, name, rel, "exhaustive", checked, a, b, u, direction="preserve")
-                if strong and conclusion and not premise:
-                    return _verdict_from_bits(sp, name, rel, "exhaustive", checked, a, b, u, direction="reflect")
-        return Verdict(name, "Preserved", "exhaustive", checked)
-    if isinstance(mode, Randomized):
-        _randomized_pre(u, [rel])
-        return _check_randomized(u, mode, name, strong, ((rel, rel),), ("unrelated", "related"))
-    raise UnsupportedMode(f"unknown mode {mode!r}")
-
-
-def _check_randomized(
-    u: UnitPermutationMap,
-    mode: Randomized,
-    name: str,
-    strong: bool,
-    directions: tuple[tuple[GreenRelation, GreenRelation], ...],
-    texts: tuple[str, str],
-) -> Verdict:
-    """Seeded check that a src b implies T(a) dst T(b) for each direction,
-    and in strong mode that unrelated pairs stay unrelated.
-
-    Pairs are decided by `_tropfast.decide_matrices`, on the integer
-    kernel wherever it applies.  A counterexample is re-decided by the
-    reference decider, premise and conclusion, before it is reported.
-    ``texts`` name the images in the details of the two kinds of
-    counterexample; ``{}`` stands for dst.
-    """
-    rng = random.Random(mode.seed)
-    checked = 0
-    for _ in range(mode.trials):
-        for src, dst in directions:
-            a, b = sampling.related_pair(rng, u.semifield, u.n, src)
-            ta, tb = apply(u, a), apply(u, b)
-            checked += 1
-            if not _tropfast.decide_matrices(ta, tb, dst):
-                cx = _reverified_counterexample(
-                    a, b, ta, tb, src, dst, True,
-                    f"a {src.value} b holds but the images are {texts[0].format(dst.value)}",
-                )
-                return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
-            if strong:
-                pair = sampling.unrelated_pair(rng, u.semifield, u.n, src)
-                if pair is None:
-                    continue
-                a2, b2 = pair
-                ta2, tb2 = apply(u, a2), apply(u, b2)
-                checked += 1
-                if _tropfast.decide_matrices(ta2, tb2, dst):
-                    cx = _reverified_counterexample(
-                        a2, b2, ta2, tb2, src, dst, False,
-                        f"a {src.value} b fails but the images are {texts[1].format(dst.value)}",
-                    )
-                    return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
-    return Verdict(name, "NoCounterexampleFound", "randomized", checked, None, mode.seed)
-
-
-def _reverified_counterexample(a, b, ta, tb, src, dst, holds: bool, detail: str):
-    """A counterexample to ``a src b => T(a) dst T(b)`` (holds) or to its
-    converse, once the reference decider agrees on premise and conclusion.
-    The witness certifies whichever side is related."""
-    _tropfast.reverify(a, b, src, holds)
-    _tropfast.reverify(ta, tb, dst, not holds)
-    witness = relate_witness(a, b, src) if holds else relate_witness(ta, tb, dst)
-    return CounterexamplePair(a, b, ta, tb, detail, witness)
-
-
-def _verdict_from_bits(sp, name, rel, mode_name, checked, a, b, u, direction):
-    ma, mb = sp.matrix_of(a), sp.matrix_of(b)
-    ta, tb = apply(u, ma), apply(u, mb)
-    if direction == "preserve":
-        detail = f"a {rel.value} b holds but the images are unrelated"
-        witness = relate_witness(ma, mb, rel)
-    else:
-        detail = f"a {rel.value} b fails but the images are related"
-        witness = relate_witness(ta, tb, rel)
-    return Verdict(
-        name, "Counterexample", mode_name, checked,
-        CounterexamplePair(ma, mb, ta, tb, detail, witness),
-    )
+    return _check(u, mode, name, strong, ((rel, rel),), ("unrelated", "related"), "Preserved")
 
 
 def check_exchange(
@@ -470,35 +393,101 @@ def check_exchange(
     name = (
         f"{'strongly exchanges' if strong else 'exchanges'} {rel1.value} with {rel2.value}"
     )
+    return _check(
+        u, mode, name, strong, ((rel1, rel2), (rel2, rel1)),
+        ("not {}-related", "{}-related"), "Exchanges",
+    )
+
+
+def _check(
+    u: UnitPermutationMap,
+    mode: Mode,
+    name: str,
+    strong: bool,
+    directions: tuple[tuple[GreenRelation, GreenRelation], ...],
+    texts: tuple[str, str],
+    passed: str,
+) -> Verdict:
+    """Check that a src b implies T(a) dst T(b) for each (src, dst) in
+    directions, and in strong mode that unrelated pairs stay unrelated.
+
+    ``texts`` name the images in the details of the two kinds of
+    counterexample; ``{}`` stands for dst.  ``passed`` is the outcome of
+    an exhaustive check that finds nothing.
+    """
+    rels = [src for src, _ in directions]
     if isinstance(mode, Exhaustive):
-        _exhaustive_pre(u, [rel1, rel2])
-        sp = _boolspace.space(u.n)
-        t1, t2 = sp.table(rel1), sp.table(rel2)
-        act = _cell_map(u)
-        tmap = [_boolspace.act_on_bits(act, m) for m in range(sp.size)]
-        checked = 0
-        for a in range(sp.size):
-            for b in range(sp.size):
-                for fwd, bwd, rname in ((t1, t2, rel2), (t2, t1, rel1)):
-                    premise = (fwd[a] >> b) & 1
-                    conclusion = (bwd[tmap[a]] >> tmap[b]) & 1
-                    if premise or strong:
-                        checked += 1
-                    if premise and not conclusion:
-                        return _verdict_from_bits(
-                            sp, name, rname, "exhaustive", checked, a, b, u, "preserve"
-                        )
-                    if strong and conclusion and not premise:
-                        return _verdict_from_bits(
-                            sp, name, rname, "exhaustive", checked, a, b, u, "reflect"
-                        )
-        return Verdict(name, "Exchanges", "exhaustive", checked)
+        _exhaustive_pre(u, rels)
+        return _check_exhaustive(u, name, strong, directions, texts, passed)
     if isinstance(mode, Randomized):
-        _randomized_pre(u, [rel1, rel2])
-        return _check_randomized(
-            u, mode, name, strong, ((rel1, rel2), (rel2, rel1)), ("not {}-related", "{}-related")
-        )
+        _randomized_pre(u, rels)
+        return _check_randomized(u, mode, name, strong, directions, texts)
     raise UnsupportedMode(f"unknown mode {mode!r}")
+
+
+def _check_exhaustive(u, name, strong, directions, texts, passed) -> Verdict:
+    """Every pair of boolean matrices, in one `_boolspace.first_violation` scan."""
+    sp = _boolspace.space(u.n)
+    act = _cell_map(u)
+    tmap = [_boolspace.act_on_bits(act, m) for m in range(sp.size)]
+    table_pairs = [(sp.table(src), sp.table(dst)) for src, dst in directions]
+    checked, hit = _boolspace.first_violation(table_pairs, tmap, strong)
+    if hit is None:
+        return Verdict(name, passed, "exhaustive", checked)
+    a, b, k, holds = hit
+    src, dst = directions[k]
+    ma, mb = sp.matrix_of(a), sp.matrix_of(b)
+    cx = _reverified_counterexample(ma, mb, apply(u, ma), apply(u, mb), src, dst, holds, texts)
+    return Verdict(name, "Counterexample", "exhaustive", checked, cx)
+
+
+def _check_randomized(
+    u: UnitPermutationMap,
+    mode: Randomized,
+    name: str,
+    strong: bool,
+    directions: tuple[tuple[GreenRelation, GreenRelation], ...],
+    texts: tuple[str, str],
+) -> Verdict:
+    """Seeded related (and in strong mode unrelated) pairs for each direction.
+
+    Pairs are decided by `_tropfast.decide_matrices`, on the integer
+    kernel wherever it applies.  A counterexample is re-decided by the
+    reference decider, premise and conclusion, before it is reported.
+    """
+    rng = random.Random(mode.seed)
+    checked = 0
+    for _ in range(mode.trials):
+        for src, dst in directions:
+            a, b = sampling.related_pair(rng, u.semifield, u.n, src)
+            ta, tb = apply(u, a), apply(u, b)
+            checked += 1
+            if not _tropfast.decide_matrices(ta, tb, dst):
+                cx = _reverified_counterexample(a, b, ta, tb, src, dst, True, texts)
+                return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
+            if strong:
+                pair = sampling.unrelated_pair(rng, u.semifield, u.n, src)
+                if pair is None:
+                    continue
+                a2, b2 = pair
+                ta2, tb2 = apply(u, a2), apply(u, b2)
+                checked += 1
+                if _tropfast.decide_matrices(ta2, tb2, dst):
+                    cx = _reverified_counterexample(a2, b2, ta2, tb2, src, dst, False, texts)
+                    return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
+    return Verdict(name, "NoCounterexampleFound", "randomized", checked, None, mode.seed)
+
+
+def _reverified_counterexample(a, b, ta, tb, src, dst, holds: bool, texts):
+    """A counterexample to ``a src b => T(a) dst T(b)`` (holds) or to its
+    converse, once the reference decider agrees on premise and conclusion.
+    The witness certifies whichever side is related."""
+    _tropfast.reverify(a, b, src, holds)
+    _tropfast.reverify(ta, tb, dst, not holds)
+    witness = relate_witness(a, b, src) if holds else relate_witness(ta, tb, dst)
+    premise, images = ("holds", texts[0]) if holds else ("fails", texts[1])
+    detail = f"a {src.value} b {premise} but the images are {images.format(dst.value)}"
+    return CounterexamplePair(a, b, ta, tb, detail, witness)
 
 
 # --- sticky-matrix search ----------------------------------------------------

@@ -11,10 +11,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import lcm
+from math import factorial, lcm
 
 from . import _tropfast, sampling, semiring
-from ._boolspace import act_on_bits, all_cell_maps, space
+from ._boolspace import act_on_bits, all_cell_maps, first_violation, space
 from .green import GreenRelation, factor_rank
 from .linear_maps import (
     CanonicalForm,
@@ -23,9 +23,9 @@ from .linear_maps import (
     RandomizedTropical,
     UnitPermutationMap,
     apply,
+    cell_shape,
     check_exchange,
     check_preservation,
-    classify,
     find_sticky,
 )
 from .matrix import matrix_to_json, monomial_to_json
@@ -127,69 +127,39 @@ def _unit_map_from_cells(cells: tuple[int, ...], n: int) -> UnitPermutationMap:
     return UnitPermutationMap(n, Semifield.BOOLEAN, sigma, alpha)
 
 
-def _classify_cells(cells: tuple[int, ...], n: int) -> str:
-    """Structural classification of a boolean cell permutation.
+def _preserver_sets(n: int, rels):
+    """Scan every cell map at size n against the tables of rels.
 
-    Over the boolean semifield all coefficients are 1, so the
-    coefficient matrix is automatically rank one and only the cell
-    structure matters.
+    Returns (shapes, preservers, pairs): shapes maps each cell map to its
+    `cell_shape`, preservers[rel] is the set of cell maps that preserve
+    rel, and pairs counts the premise pairs the scans checked.
     """
-    standard = True
-    for i in range(n):
-        base_row = cells[i * n] // n
-        if any(cells[i * n + j] // n != base_row for j in range(1, n)):
-            standard = False
-            break
-    if standard:
-        for j in range(n):
-            base_col = cells[j] % n
-            if any(cells[i * n + j] % n != base_col for i in range(1, n)):
-                standard = False
-                break
-    if standard:
-        return "standard"
-    flipped = True
-    for i in range(n):
-        base_col = cells[i * n] % n
-        if any(cells[i * n + j] % n != base_col for j in range(1, n)):
-            flipped = False
-            break
-    if flipped:
-        for j in range(n):
-            base_row = cells[j] // n
-            if any(cells[i * n + j] // n != base_row for i in range(1, n)):
-                flipped = False
-                break
-    return "transpose" if flipped else "non_canonical"
+    sp = space(n)
+    tables = [(rel, sp.table(rel)) for rel in rels]
+    shapes: dict[tuple[int, ...], str | None] = {}
+    preservers: dict[GreenRelation, set[tuple[int, ...]]] = {rel: set() for rel in rels}
+    pairs = 0
+    for cells in all_cell_maps(n):
+        shapes[cells] = cell_shape(cells, n)
+        tmap = [act_on_bits(cells, m) for m in range(sp.size)]
+        for rel, table in tables:
+            seen, hit = first_violation(((table, table),), tmap, False)
+            pairs += seen
+            if hit is None:
+                preservers[rel].add(cells)
+    return shapes, preservers, pairs
 
 
-def _preserves_on_table(table: list[int], tmap: list[int], size: int) -> tuple[bool, int]:
-    """(preserved, premise pairs seen) for one map against one relation table."""
-    checked = 0
-    for a in range(size):
-        row = table[a]
-        trow = table[tmap[a]]
-        b = 0
-        while row:
-            if row & 1:
-                checked += 1
-                if not (trow >> tmap[b]) & 1:
-                    return False, checked
-            row >>= 1
-            b += 1
-    return True, checked
-
-
-def _related_bits(sp, a: int, b: int, rel: GreenRelation) -> bool:
-    if rel is GreenRelation.L:
-        return sp.leq_l(a, b) and sp.leq_l(b, a)
-    if rel is GreenRelation.R:
-        return sp.leq_r(a, b) and sp.leq_r(b, a)
-    if rel is GreenRelation.H:
-        return (
-            sp.leq_l(a, b) and sp.leq_l(b, a) and sp.leq_r(a, b) and sp.leq_r(b, a)
-        )
-    raise ValueError(f"no fast decider for {rel!r}")
+def _membership_witnesses(preservers, reference: set, label: str) -> list[dict]:
+    """One witness per cell map whose membership differs between the
+    preserver sets and the reference set (named label)."""
+    witnesses = []
+    for cells in sorted(set().union(*preservers.values()) | reference):
+        membership = {rel.value: cells in maps for rel, maps in preservers.items()}
+        membership[label] = cells in reference
+        if len(set(membership.values())) > 1:
+            witnesses.append({"map_cells": list(cells), "membership": membership})
+    return witnesses
 
 
 # --- t1: L/R/leqL/leqR preservers are exactly the maps X -> PXQ -------------
@@ -206,37 +176,12 @@ def _suite_t1(params: SuiteParams) -> SuiteReport:
 
 def _t1_exhaustive(params: SuiteParams) -> SuiteReport:
     n = params.n
-    sp = space(n)
     rels = (GreenRelation.L, GreenRelation.R, GreenRelation.LEQ_L, GreenRelation.LEQ_R)
-    tables = {rel: sp.table(rel) for rel in rels}
-    preservers: dict[GreenRelation, set[tuple[int, ...]]] = {rel: set() for rel in rels}
-    standard_maps: set[tuple[int, ...]] = set()
-    maps = 0
-    pairs = 0
-    witnesses = []
-    for cells in all_cell_maps(n):
-        maps += 1
-        tmap = [act_on_bits(cells, m) for m in range(sp.size)]
-        for rel in rels:
-            ok, seen = _preserves_on_table(tables[rel], tmap, sp.size)
-            pairs += seen
-            if ok:
-                preservers[rel].add(cells)
-        outcome = classify(_unit_map_from_cells(cells, n))
-        if isinstance(outcome, CanonicalForm) and not outcome.transposed:
-            standard_maps.add(cells)
-    reference = preservers[GreenRelation.L]
-    agree = all(preservers[rel] == reference for rel in rels) and standard_maps == reference
-    if not agree:
-        for cells in sorted(
-            set().union(*preservers.values()) | standard_maps
-        ):
-            membership = {rel.value: cells in preservers[rel] for rel in rels}
-            membership["canonical_standard"] = cells in standard_maps
-            if len(set(membership.values())) > 1:
-                witnesses.append({"map_cells": list(cells), "membership": membership})
+    shapes, preservers, pairs = _preserver_sets(n, rels)
+    standard_maps = {cells for cells, shape in shapes.items() if shape == "standard"}
+    witnesses = _membership_witnesses(preservers, standard_maps, "canonical_standard")
     counts = {
-        "maps_enumerated": maps,
+        "maps_enumerated": len(shapes),
         "l_preservers": len(preservers[GreenRelation.L]),
         "r_preservers": len(preservers[GreenRelation.R]),
         "leql_preservers": len(preservers[GreenRelation.LEQ_L]),
@@ -245,7 +190,7 @@ def _t1_exhaustive(params: SuiteParams) -> SuiteReport:
         "pairs_checked": pairs,
     }
     return SuiteReport(
-        "t1", params.semifield.value, n, "exhaustive", agree, counts, tuple(witnesses)
+        "t1", params.semifield.value, n, "exhaustive", not witnesses, counts, tuple(witnesses)
     )
 
 
@@ -292,7 +237,7 @@ def _probe_pairs(sp, rel: GreenRelation) -> list[tuple[int, int]]:
                         b = _unit_bits(i1, j2, n, False) | _unit_bits(i2, j1, n, False)
                         pairs.append((a, b))
     for a, b in pairs:
-        if not _related_bits(sp, a, b, rel):
+        if not sp.related(a, b, rel):
             raise AssertionError(f"probe pair for {rel.value} is not related")
     return pairs
 
@@ -325,7 +270,7 @@ def _random_related_bits(rng: random.Random, sp, rel: GreenRelation, perm_bits: 
             return b, b
         if variant == 1:
             a = sp.mul(sp.mul(rng.choice(perm_bits), b), rng.choice(perm_bits))
-            if _related_bits(sp, a, b, GreenRelation.H):
+            if sp.related(a, b, GreenRelation.H):
                 return a, b
         n = sp.n
         i1, i2 = rng.sample(range(n), 2)
@@ -344,7 +289,7 @@ def _t1_sampled(params: SuiteParams) -> SuiteReport:
     class_counts = {"standard": 0, "transpose": 0, "non_canonical": 0}
     total = 0
     for cells in all_cell_maps(n):
-        class_counts[_classify_cells(cells, n)] += 1
+        class_counts[cell_shape(cells, n) or "non_canonical"] += 1
         total += 1
     rels = (GreenRelation.L, GreenRelation.R, GreenRelation.H)
     perm_bits = [
@@ -365,7 +310,7 @@ def _t1_sampled(params: SuiteParams) -> SuiteReport:
         rng.shuffle(cells_list)
         cells = tuple(cells_list)
         sampled += 1
-        verdict_class = _classify_cells(cells, n)
+        verdict_class = cell_shape(cells, n) or "non_canonical"
         for rel in rels:
             expect_preserved = verdict_class == "standard" or (
                 verdict_class == "transpose" and rel is GreenRelation.H
@@ -373,7 +318,7 @@ def _t1_sampled(params: SuiteParams) -> SuiteReport:
             found = None
             for a, b in pools[rel]:
                 pair_checks += 1
-                if not _related_bits(sp, act_on_bits(cells, a), act_on_bits(cells, b), rel):
+                if not sp.related(act_on_bits(cells, a), act_on_bits(cells, b), rel):
                     found = (a, b)
                     break
             if expect_preserved == (found is not None):
@@ -389,7 +334,7 @@ def _t1_sampled(params: SuiteParams) -> SuiteReport:
                         matrix_to_json(sp.matrix_of(found[1])),
                     ]
                 discrepancies.append(witness)
-    expected_canonical = _factorial(n) ** 2
+    expected_canonical = factorial(n) ** 2
     passed = (
         not discrepancies
         and class_counts["standard"] == expected_canonical
@@ -411,13 +356,6 @@ def _t1_sampled(params: SuiteParams) -> SuiteReport:
     )
 
 
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
-
-
 # --- t2: D/J/leqJ preservers are exactly the canonical maps -----------------
 
 
@@ -428,49 +366,23 @@ def _suite_t2(params: SuiteParams) -> SuiteReport:
             "t2 needs full D/J/leqJ tables and is out of reach beyond n = 2"
         )
     n = params.n
-    sp = space(n)
     rels = (GreenRelation.D, GreenRelation.J, GreenRelation.LEQ_J)
-    tables = {rel: sp.table(rel) for rel in rels}
-    preservers: dict[GreenRelation, set[tuple[int, ...]]] = {rel: set() for rel in rels}
-    canonical: set[tuple[int, ...]] = set()
-    standard = transpose = 0
-    maps = 0
-    pairs = 0
-    for cells in all_cell_maps(n):
-        maps += 1
-        tmap = [act_on_bits(cells, m) for m in range(sp.size)]
-        for rel in rels:
-            ok, seen = _preserves_on_table(tables[rel], tmap, sp.size)
-            pairs += seen
-            if ok:
-                preservers[rel].add(cells)
-        outcome = classify(_unit_map_from_cells(cells, n))
-        if isinstance(outcome, CanonicalForm):
-            canonical.add(cells)
-            if outcome.transposed:
-                transpose += 1
-            else:
-                standard += 1
-    agree = all(preservers[rel] == canonical for rel in rels)
-    witnesses = []
-    if not agree:
-        for cells in sorted(set().union(*preservers.values()) | canonical):
-            membership = {rel.value: cells in preservers[rel] for rel in rels}
-            membership["canonical"] = cells in canonical
-            if len(set(membership.values())) > 1:
-                witnesses.append({"map_cells": list(cells), "membership": membership})
+    shapes, preservers, pairs = _preserver_sets(n, rels)
+    canonical = {cells for cells, shape in shapes.items() if shape is not None}
+    witnesses = _membership_witnesses(preservers, canonical, "canonical")
+    shape_counts = list(shapes.values())
     counts = {
-        "maps_enumerated": maps,
+        "maps_enumerated": len(shapes),
         "d_preservers": len(preservers[GreenRelation.D]),
         "j_preservers": len(preservers[GreenRelation.J]),
         "leqj_preservers": len(preservers[GreenRelation.LEQ_J]),
         "canonical_total": len(canonical),
-        "canonical_standard": standard,
-        "canonical_transpose": transpose,
+        "canonical_standard": shape_counts.count("standard"),
+        "canonical_transpose": shape_counts.count("transpose"),
         "pairs_checked": pairs,
     }
     return SuiteReport(
-        "t2", params.semifield.value, n, "exhaustive", agree, counts, tuple(witnesses)
+        "t2", params.semifield.value, n, "exhaustive", not witnesses, counts, tuple(witnesses)
     )
 
 
@@ -507,10 +419,9 @@ def _corollaries_exhaustive(params: SuiteParams) -> SuiteReport:
     n = params.n
     canonical_maps = []
     for cells in all_cell_maps(n):
-        u = _unit_map_from_cells(cells, n)
-        outcome = classify(u)
-        if isinstance(outcome, CanonicalForm):
-            canonical_maps.append((u, outcome.transposed))
+        shape = cell_shape(cells, n)
+        if shape is not None:
+            canonical_maps.append((_unit_map_from_cells(cells, n), shape == "transpose"))
     witnesses = []
     checks = 0
     pairs = 0
@@ -642,50 +553,26 @@ def _suite_h_theorem(params: SuiteParams) -> SuiteReport:
         if params.n > 2:
             raise UnsupportedParams("exhaustive h_theorem stops at n = 2")
         n = params.n
-        sp = space(n)
-        h_table = sp.table(GreenRelation.H)
-        d_table = sp.table(GreenRelation.D)
-        h_set: set[tuple[int, ...]] = set()
-        d_set: set[tuple[int, ...]] = set()
-        canonical: set[tuple[int, ...]] = set()
-        maps = 0
-        for cells in all_cell_maps(n):
-            maps += 1
-            tmap = [act_on_bits(cells, m) for m in range(sp.size)]
-            if _preserves_on_table(h_table, tmap, sp.size)[0]:
-                h_set.add(cells)
-            if _preserves_on_table(d_table, tmap, sp.size)[0]:
-                d_set.add(cells)
-            if isinstance(classify(_unit_map_from_cells(cells, n)), CanonicalForm):
-                canonical.add(cells)
+        shapes, preservers, _ = _preserver_sets(n, (GreenRelation.H, GreenRelation.D))
+        canonical = {cells for cells, shape in shapes.items() if shape is not None}
+        witnesses = _membership_witnesses(preservers, canonical, "canonical")
         sticky = find_sticky(Semifield.BOOLEAN, ExhaustiveBoolean())
-        passed = h_set == d_set == canonical and sticky.survivor is None
-        witnesses = []
-        if not passed:
-            witnesses.append(
-                {
-                    "h_only": [list(c) for c in sorted(h_set - d_set)],
-                    "d_only": [list(c) for c in sorted(d_set - h_set)],
-                    "non_canonical_preservers": [
-                        list(c) for c in sorted((h_set | d_set) - canonical)
-                    ],
-                    "sticky_survivor": (
-                        matrix_to_json(sticky.survivor) if sticky.survivor else None
-                    ),
-                }
-            )
+        if sticky.survivor is not None:
+            witnesses.append({"sticky_survivor": matrix_to_json(sticky.survivor)})
         counts = {
-            "maps_enumerated": maps,
-            "h_preservers": len(h_set),
-            "d_preservers": len(d_set),
+            "maps_enumerated": len(shapes),
+            "h_preservers": len(preservers[GreenRelation.H]),
+            "d_preservers": len(preservers[GreenRelation.D]),
             "canonical_total": len(canonical),
             "sticky_candidates": sticky.candidates,
             "sticky_refuted_s2": sum(1 for r in sticky.refutations if r.failed == "S2"),
         }
         return SuiteReport(
-            "h_theorem", params.semifield.value, n, "exhaustive", passed, counts,
+            "h_theorem", params.semifield.value, n, "exhaustive", not witnesses, counts,
             tuple(witnesses),
         )
+    if params.n != 2:
+        raise UnsupportedParams("the tropical h_theorem searches 2x2 matrices; n must be 2")
     seed = _require_seed(params, "h_theorem")
     report = find_sticky(
         params.semifield, RandomizedTropical(seed=seed, trials=params.trials)
@@ -808,7 +695,7 @@ def _suite_invertibles(params: SuiteParams) -> SuiteReport:
             monomial.add(a)
         except NotMonomial:
             pass
-    passed = invertible == monomial and len(invertible) == _factorial(n)
+    passed = invertible == monomial and len(invertible) == factorial(n)
     witnesses = []
     if not passed:
         witnesses.append(
@@ -890,6 +777,8 @@ def _suite_remark_regression(params: SuiteParams) -> SuiteReport:
     """Fixed witness over the naturals: A = 2*E11 and B = E11 satisfy
     A leqR B with equal factor rank, yet A R B fails since 2t = 1 has no
     solution.  Checked with plain integer arithmetic."""
+    if params.n != 2:
+        raise UnsupportedParams("remark_2_6_regression is a fixed 2x2 witness; n must be 2")
     bound = 1000
 
     def matmul(x, y):

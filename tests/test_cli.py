@@ -166,6 +166,25 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err == f"error: trials must be at least 1, got {trials}\n"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--suite", "h_theorem", "--semifield", "tropical", "--n", "7", "--seed", "1",
+             "--trials", "2"],
+            ["--suite", "h_theorem", "--semifield", "tropical_int", "--n", "3", "--seed", "1"],
+            ["--suite", "h_theorem", "--semifield", "tropical", "--n", "1", "--seed", "1"],
+            ["--suite", "remark_2_6_regression", "--n", "9"],
+            ["--suite", "remark_2_6_regression", "--n", "1"],
+        ],
+    )
+    def test_fixed_2x2_suites_reject_other_n(self, capsys, args):
+        # these suites only ever look at 2x2 matrices; another n is not run
+        assert cli.main(["verify", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "n must be 2" in captured.err
+        assert captured.err.count("\n") == 1
+
     def test_suite_failure_exits_one(self, capsys, monkeypatch):
         fake = SuiteReport(
             "t1", "boolean", 2, "exhaustive", False,

@@ -2,7 +2,9 @@
 reference deciders; the exhaustive suites lean on these equivalences."""
 
 import hashlib
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 from math import lcm
@@ -59,6 +61,89 @@ class TestBoolspace:
         cell_map = (0, 2, 1, 3)
         assert _boolspace.act_on_bits(cell_map, 0b0010) == 0b0100
         assert _boolspace.act_on_bits(cell_map, 0b1111) == 0b1111
+
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_composed_leq_j_table_matches_brute_force_closure(self, n):
+        # a leqJ b iff a = s*b*t for some s, t, over all products directly
+        sp = _boolspace.BooleanSpace(n)
+        brute = [0] * sp.size
+        for b in range(sp.size):
+            for s in range(sp.size):
+                sb = sp.mul(s, b)
+                for t in range(sp.size):
+                    brute[sp.mul(sb, t)] |= 1 << b
+        assert sp.leq_j_table == brute
+
+    def test_related_matches_tables_n2(self):
+        sp = _boolspace.BooleanSpace(2)
+        for rel in GR:
+            table = sp.table(rel)
+            for a in range(sp.size):
+                for b in range(sp.size):
+                    assert sp.related(a, b, rel) == ((table[a] >> b) & 1 == 1), (rel, a, b)
+
+    def test_related_matches_reference_sampled_n3(self):
+        sp = _boolspace.BooleanSpace(3)
+        rng = random.Random(4096)
+        perms = (0o124, 0o142, 0o214)  # permutation matrices, one row per octal digit
+        for _ in range(150):
+            i = rng.randrange(sp.size)
+            # two thirds of the pairs are (a, P*a) or (a, a*P), so L or R holds
+            j = (
+                rng.randrange(sp.size),
+                sp.mul(rng.choice(perms), i),
+                sp.mul(i, rng.choice(perms)),
+            )[rng.randrange(3)]
+            for rel in (GR.L, GR.R, GR.H):
+                assert sp.related(i, j, rel) == relate(sp.matrix_of(i), sp.matrix_of(j), rel)
+
+    def test_first_violation_order_and_counts(self):
+        # three elements; P relates 0->1 and 1->2; T swaps 1 and 2
+        prem = [0b010, 0b100, 0b000]
+        conc = [0b010, 0b000, 0b010]
+        tmap = [0, 2, 1]
+        # (0, 1): T gives (0, 2), not in conc; the first premise checked
+        assert _boolspace.first_violation(((prem, conc),), tmap, False) == (1, (0, 1, 0, True))
+        # strong: (0, 0) is checked first, then (0, 1) breaks
+        assert _boolspace.first_violation(((prem, conc),), tmap, True) == (2, (0, 1, 0, True))
+        # with a second direction whose conclusion holds everywhere, the
+        # first direction still breaks first, at the same pair
+        full = [0b111] * 3
+        assert _boolspace.first_violation(((full, full), (prem, conc)), tmap, False) == (
+            3, (0, 1, 1, True)
+        )
+        # nothing breaks: every premise is counted, or every visit in strong mode
+        assert _boolspace.first_violation(((prem, prem),), [0, 1, 2], False) == (2, None)
+        assert _boolspace.first_violation(((prem, prem),), [0, 1, 2], True) == (9, None)
+        # strong converse: an unrelated pair whose images are related
+        assert _boolspace.first_violation(((conc, full),), [0, 1, 2], True) == (1, (0, 0, 0, False))
+
+
+def _shape_of_forms(n):
+    """Cell maps of synthesize(CanonicalForm(P, Q, t)) over all permutation
+    matrices P, Q, by shape."""
+    perms = [mx.MonomialMatrix(n, p, (semiring.one(B),) * n) for p in itertools.permutations(range(n))]
+    out = {"standard": set(), "transpose": set()}
+    for p in perms:
+        for q in perms:
+            for shape, transposed in (("standard", False), ("transpose", True)):
+                u = lm.synthesize(lm.CanonicalForm(p, q, transposed), n, B)
+                out[shape].add(tuple(k * n + l for row in u.sigma for k, l in row))
+    return out
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_cell_shape_matches_synthesized_forms(n):
+    forms = _shape_of_forms(n)  # at n = 1 both shapes are the identity: "standard"
+    assert len(forms["standard"]) == len(forms["transpose"]) == math.factorial(n) ** 2
+    for cells in _boolspace.all_cell_maps(n):
+        if cells in forms["standard"]:
+            assert lm.cell_shape(cells, n) == "standard", cells
+        elif cells in forms["transpose"]:
+            assert lm.cell_shape(cells, n) == "transpose", cells
+        else:
+            assert lm.cell_shape(cells, n) is None, cells
 
 
 _FAST_RELS = (GR.LEQ_L, GR.LEQ_R, GR.L, GR.R, GR.H)
@@ -473,3 +558,81 @@ def test_sticky_reports_are_byte_identical_to_golden():
     for sf, seed, trials, digest in _STICKY_GOLDEN:
         rep = lm.find_sticky(sf, lm.RandomizedTropical(seed=seed, trials=trials))
         assert hashlib.sha256(_sticky_text(rep).encode()).hexdigest() == digest, (sf, seed)
+
+
+def _cell_map_unit(cells, n):
+    one = semiring.one(B)
+    sigma = tuple(tuple(divmod(cells[i * n + j], n) for j in range(n)) for i in range(n))
+    return lm.UnitPermutationMap(n, B, sigma, tuple((one,) * n for _ in range(n)))
+
+
+def _exhaustive_digest(texts) -> str:
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
+
+
+def _exchange_text(v) -> str:
+    cx = v.counterexample
+    pair = None if cx is None else [mx.matrix_to_json(cx.a), mx.matrix_to_json(cx.b)]
+    return json.dumps([v.outcome, v.pairs_checked, pair])
+
+
+# Four n = 3 maps: identity, transpose, a standard map that permutes rows
+# and columns, and a non-canonical swap of two cells.
+_N3_MAPS = (
+    (0, 1, 2, 3, 4, 5, 6, 7, 8),
+    (0, 3, 6, 1, 4, 7, 2, 5, 8),
+    (4, 3, 5, 1, 0, 2, 7, 6, 8),
+    (1, 0, 2, 3, 4, 5, 6, 7, 8),
+)
+
+# SHA-256 over `_verdict_text` of every exhaustive preservation verdict,
+# strong and not, recorded while each check ran its own inline scan:
+# one digest per (n, relation), over all 24 cell maps at n = 2 and the
+# maps of _N3_MAPS at n = 3, in enumeration order.
+_EXHAUSTIVE_PRESERVATION_GOLDEN = {
+    (2, GR.LEQ_L): "09b08e7fd6bc3e121503ae9e8db4329acb66eb3f4b3557222e813875ced30937",
+    (2, GR.LEQ_R): "776ec8ef0df02fc9b308cc265dcb52c31b2fe32e741cd7d8ced3e4f81c7b0327",
+    (2, GR.LEQ_J): "6108221823b56d2eaf09a120fdbb4b1661a3b0245adf16ff0c22f65d2b2791ee",
+    (2, GR.L): "b3594e4f387c1fd6649c61740c34c10386b8a16e56741483455183eb07c1d541",
+    (2, GR.R): "a09190ecc1480308195c9bc7514171359f1264eb649ed21b988f71c3295ecbb8",
+    (2, GR.H): "4b48d48f2238f3c9c59a484d6b8d119d353090f143e91301ad2b15304d223979",
+    (2, GR.D): "db09cccb0c43e863897053f80513b87177133cb8a8ed435d3573c72c5b6a5589",
+    (2, GR.J): "388385671d0946c17a6e05c5cddc589522cf75482fcdd55246f3514732baae2a",
+    (3, GR.L): "37fab12e582d13c2bd9c1b0b99d48f2ef22f0f7d9bfe2992749f47eb40d8478f",
+    (3, GR.R): "84974ee8bb31b38ea727276ab8e4379175ffabbcd703344fa6c298ebd800c157",
+    (3, GR.H): "2cc7382c9bfe632a63355e1c0b1a4955871962c4dde0fa53a4de720fe6c330c0",
+    (3, GR.LEQ_L): "91ccfa86c59789a636a30830c97393eb976ef86fb4ebad164398bbece534f6b8",
+    (3, GR.LEQ_R): "db7ec97f93f06377c1975642070b15e697bc2c5be2de5dc3233c73e67b32b8bb",
+}
+
+# SHA-256 over `_exchange_text` (outcome, pairs checked, counterexample
+# pair) of every exhaustive exchange verdict on the 24 cell maps at n = 2,
+# strong and not, recorded the same way.
+_EXHAUSTIVE_EXCHANGE_GOLDEN = {
+    (GR.L, GR.R): "4e6140b0ef9f19bc3f09db35027dacc5d8c160cbf0d64158f82d894759eda802",
+    (GR.LEQ_L, GR.LEQ_R): "55d95885266be68096158e937f57c63f3649e5a2c92e43bc36d4f4704ccb2111",
+}
+
+
+def _exhaustive_maps(n):
+    return [_cell_map_unit(cells, n) for cells in (_boolspace.all_cell_maps(2) if n == 2 else _N3_MAPS)]
+
+
+@pytest.mark.parametrize("n, rel", sorted(_EXHAUSTIVE_PRESERVATION_GOLDEN, key=str))
+def test_exhaustive_preservation_verdicts_match_golden(n, rel):
+    texts = [
+        _verdict_text(lm.check_preservation(u, rel, lm.Exhaustive(), strong=strong))
+        for u in _exhaustive_maps(n)
+        for strong in (False, True)
+    ]
+    assert _exhaustive_digest(texts) == _EXHAUSTIVE_PRESERVATION_GOLDEN[n, rel]
+
+
+@pytest.mark.parametrize("pair", sorted(_EXHAUSTIVE_EXCHANGE_GOLDEN, key=str))
+def test_exhaustive_exchange_verdicts_match_golden(pair):
+    texts = [
+        _exchange_text(lm.check_exchange(u, lm.Exhaustive(), strong=strong, pair=pair))
+        for u in _exhaustive_maps(2)
+        for strong in (False, True)
+    ]
+    assert _exhaustive_digest(texts) == _EXHAUSTIVE_EXCHANGE_GOLDEN[pair]

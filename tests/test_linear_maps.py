@@ -254,6 +254,13 @@ class TestPreservation:
         e11, e12 = unit_matrix(2, 1, 1, ONE_B), unit_matrix(2, 1, 2, ONE_B)
         assert relate(e11, e12, GR.R)
         assert not relate(e11, e12, GR.L)
+        cx = v.counterexample
+        assert (cx.a, cx.b) == (e11, e12)
+        # the premise that held is a R b, and the conclusion that failed is L
+        assert cx.detail == "a R b holds but the images are not L-related"
+        assert set(cx.witness) == {"t_forward", "t_backward"}
+        assert mx.mat_mul(cx.b, cx.witness["t_forward"]) == cx.a
+        assert mx.mat_mul(cx.a, cx.witness["t_backward"]) == cx.b
 
     def test_randomized_tropical_canonical_preserves(self):
         rng = random.Random(13)

@@ -1,13 +1,15 @@
 """Verification suites and the egg-box decomposition."""
 
+import dataclasses
 import json
 import re
 
 import pytest
 
-from greenmat import _boolspace
+from greenmat import _boolspace, verify
 from greenmat.eggbox import eggbox, eggbox_to_dot, eggbox_to_json
 from greenmat.green import GreenRelation, relate
+from greenmat.matrix import matrix_to_json
 from greenmat.semiring import Semifield
 from greenmat.verify import (
     SuiteParams,
@@ -45,6 +47,33 @@ class TestSuitePlumbing:
     def test_failing_reports_need_witnesses(self):
         with pytest.raises(ValueError):
             SuiteReport("x", "boolean", 2, "exhaustive", False, {})
+
+    def test_preserver_disagreement_is_reported_per_map(self, monkeypatch):
+        # a classifier that calls nothing canonical turns every preserver
+        # into a witness whose membership shows the disagreement
+        monkeypatch.setattr(verify, "cell_shape", lambda cells, n: None)
+        for suite, label, rels in (
+            ("t1", "canonical_standard", ("L", "R", "leqL", "leqR")),
+            ("t2", "canonical", ("D", "J", "leqJ")),
+            ("h_theorem", "canonical", ("H", "D")),
+        ):
+            r = run_suite(suite, SuiteParams(semifield=B, n=2))
+            assert not r.passed
+            assert r.witnesses[0] == {
+                "map_cells": [0, 1, 2, 3],
+                "membership": {**{rel: True for rel in rels}, label: False},
+            }
+
+    def test_h_theorem_reports_a_sticky_survivor(self, monkeypatch):
+        m = _boolspace.space(2).matrix_of(0b1111)
+        real = verify.find_sticky
+        monkeypatch.setattr(
+            verify, "find_sticky",
+            lambda sf, mode: dataclasses.replace(real(sf, mode), survivor=m),
+        )
+        r = run_suite("h_theorem", SuiteParams(semifield=B, n=2))
+        assert not r.passed
+        assert r.witnesses == ({"sticky_survivor": matrix_to_json(m)},)
 
     def test_report_json_shape(self):
         r = run_suite("invertibles", SuiteParams(semifield=B, n=2))
