@@ -1,16 +1,21 @@
 """Bit-encoded enumeration of M_n(B) for exhaustive verification, n <= 3.
 
 Matrix number k has a one in cell (i, j) iff bit i*n + j of k is set --
-the same total order as matrix.all_boolean_matrices.  The relation
-deciders here are the residuation algorithm from the green module
-reimplemented on row bitmasks; tests pin their equivalence against the
-Matrix-level deciders, exhaustively at n = 2 and on samples at n = 3.
+the same total order as matrix.all_boolean_matrices.
 
-Relation tables are built from the two pre-orders: L, R and H as
-intersections with converses, D = R o L and leqJ = leqL o leqR (a = s*b*t
-gives a leqL b*t leqR b).  Every exhaustive preservation or exchange
-check, of one map or of all of them, is one `first_violation` scan over
-these tables.
+Every relation here is decided from two keys per matrix: its row space
+and its column space, each a 2**n-bit mask of the vectors spanned (by
+OR-ing subsets of rows, or of columns).  Over M_n(B), a leqL b iff
+Row(a) <= Row(b) and a leqR b iff Col(a) <= Col(b); L, R and H are key
+equalities, D = R o L and leqJ = leqL o leqR (a = s*b*t gives
+a leqL b*t leqR b).  The keys are built on first use; tests pin the
+tables against brute-force product closures and the Matrix-level
+deciders.
+
+`d_witness` and `leq_j_witness` are the searches behind the D, J and
+leqJ witnesses of green.relate_witness.  Every exhaustive preservation
+or exchange check, of one map or of all of them, is one
+`first_violation` scan over the tables.
 """
 
 from __future__ import annotations
@@ -73,22 +78,39 @@ class BooleanSpace:
             ),
         )
 
-    # --- scalar-free residuation on row masks ---------------------------
+    # --- row- and column-space keys -------------------------------------
+
+    @functools.cached_property
+    def row_keys(self) -> list[int]:
+        """Row(m) per matrix m: bit v is set iff row vector v is an OR of
+        rows of m (the empty OR gives v = 0)."""
+        by_rows: dict[int, int] = {}  # the span depends on the set of rows only
+        keys = []
+        for rows in self.rows:
+            row_set = 0
+            for r in rows:
+                row_set |= 1 << r
+            if row_set not in by_rows:
+                span = [0]
+                for r in rows:
+                    span += [v | r for v in span]
+                by_rows[row_set] = sum(1 << v for v in set(span))
+            keys.append(by_rows[row_set])
+        return keys
+
+    @functools.cached_property
+    def col_keys(self) -> list[int]:
+        """Col(m) per matrix m, as the row space of its transpose."""
+        rk = self.row_keys
+        return [rk[t] for t in self.transposed]
 
     def leq_l(self, a: int, b: int) -> bool:
-        """Row space containment Row(a) <= Row(b) via the principal solution."""
-        arows, brows = self.rows[a], self.rows[b]
-        for arow in arows:
-            prod = 0
-            for brow in brows:
-                if brow & ~arow == 0:
-                    prod |= brow
-            if prod != arow:
-                return False
-        return True
+        """a leqL b iff Row(a) <= Row(b)."""
+        return self.row_keys[a] & ~self.row_keys[b] == 0
 
     def leq_r(self, a: int, b: int) -> bool:
-        return self.leq_l(self.transposed[a], self.transposed[b])
+        """a leqR b iff Col(a) <= Col(b)."""
+        return self.col_keys[a] & ~self.col_keys[b] == 0
 
     def mul(self, a: int, b: int) -> int:
         n = self.n
@@ -107,37 +129,21 @@ class BooleanSpace:
 
     @functools.cached_property
     def leq_l_table(self) -> list[int]:
-        table = [0] * self.size
-        for a in range(self.size):
-            row = 0
-            for b in range(self.size):
-                if self.leq_l(a, b):
-                    row |= 1 << b
-            table[a] = row
-        return table
+        return _below(self.row_keys)
 
     @functools.cached_property
     def leq_r_table(self) -> list[int]:
-        table = [0] * self.size
-        for a in range(self.size):
-            row = 0
-            for b in range(self.size):
-                if self.leq_r(a, b):
-                    row |= 1 << b
-            table[a] = row
-        return table
+        return _below(self.col_keys)
 
     @functools.cached_property
     def l_table(self) -> list[int]:
-        leq = self.leq_l_table
-        conv = _converse(leq, self.size)
-        return [leq[a] & conv[a] for a in range(self.size)]
+        members = _members(self.row_keys)
+        return [members[k] for k in self.row_keys]
 
     @functools.cached_property
     def r_table(self) -> list[int]:
-        leq = self.leq_r_table
-        conv = _converse(leq, self.size)
-        return [leq[a] & conv[a] for a in range(self.size)]
+        members = _members(self.col_keys)
+        return [members[k] for k in self.col_keys]
 
     @functools.cached_property
     def h_table(self) -> list[int]:
@@ -145,14 +151,10 @@ class BooleanSpace:
 
     @functools.cached_property
     def d_table(self) -> list[int]:
-        if self.n > 2:
-            raise ValueError("full D table is only built for n <= 2")
         return _compose(self.r_table, self.l_table)
 
     @functools.cached_property
     def leq_j_table(self) -> list[int]:
-        if self.n > 2:
-            raise ValueError("full leqJ table is only built for n <= 2")
         return _compose(self.leq_l_table, self.leq_r_table)
 
     @functools.cached_property
@@ -174,15 +176,77 @@ class BooleanSpace:
         }[rel]()
 
     def related(self, a: int, b: int, rel: GreenRelation) -> bool:
-        """Decide a rel b: L, R and H from the pre-orders, without building
+        """Decide a rel b: L, R and H by comparing keys, without building
         a table; every other relation by a lookup in its table."""
         if rel is GreenRelation.L:
-            return self.leq_l(a, b) and self.leq_l(b, a)
+            return self.row_keys[a] == self.row_keys[b]
         if rel is GreenRelation.R:
-            return self.leq_r(a, b) and self.leq_r(b, a)
+            return self.col_keys[a] == self.col_keys[b]
         if rel is GreenRelation.H:
             return self.related(a, b, GreenRelation.L) and self.related(a, b, GreenRelation.R)
         return (self.table(rel)[a] >> b) & 1 == 1
+
+    # --- witness searches, in the index order of the multipliers ---------
+
+    def d_witness(self, a: int, b: int) -> int | None:
+        """The first c with a R c and c L b: Col(c) = Col(a), Row(c) = Row(b)."""
+        want = (self.col_keys[a], self.row_keys[b])
+        for c, keys in enumerate(zip(self.col_keys, self.row_keys)):
+            if keys == want:
+                return c
+        return None
+
+    def leq_j_witness(self, a: int, b: int) -> tuple[int, int] | None:
+        """The first (s, t), s before t, with a = s*b*t.
+
+        For a fixed s some t exists iff a leqR s*b, i.e. Col(a) <= Col(s*b),
+        so s is the first such; t is then the least t with s*b*t = a.
+        """
+        col_a, col_keys = self.col_keys[a], self.col_keys
+        for s in range(self.size):
+            sb = self.mul(s, b)
+            if col_a & ~col_keys[sb] == 0:
+                return s, self._least_right_factor(sb, a)
+        return None
+
+    def _least_right_factor(self, x: int, a: int) -> int:
+        """The least t with x*t = a, column by column.
+
+        Column j of x*t is x times column j of t, so the columns are
+        independent; and two t compare by their highest differing cell,
+        row-major, so the least t takes in every column the least vector
+        (row i as bit i) that x maps to the column of a.
+        """
+        n = self.n
+        images = [0]  # images[v] = x*v for the column vector v
+        for col in self.rows[self.transposed[x]]:
+            images += [img | col for img in images]
+        t = 0
+        for j, target in enumerate(self.rows[self.transposed[a]]):
+            if target not in images:
+                raise AssertionError("column keys disagree with the product")
+            v = images.index(target)
+            for i in range(n):
+                if (v >> i) & 1:
+                    t |= 1 << (i * n + j)
+        return t
+
+
+def _members(keys: list[int]) -> dict[int, int]:
+    """The matrices with each key, as a bitmask over matrix indices."""
+    members: dict[int, int] = {}
+    for m, k in enumerate(keys):
+        members[k] = members.get(k, 0) | (1 << m)
+    return members
+
+
+def _below(keys: list[int]) -> list[int]:
+    """The pre-order keys[a] <= keys[b] as bitmask rows, one row per key."""
+    members = _members(keys)
+    row_of = {
+        k: sum(m for k2, m in members.items() if k & ~k2 == 0) for k in members
+    }
+    return [row_of[k] for k in keys]
 
 
 def _converse(table: list[int], size: int) -> list[int]:

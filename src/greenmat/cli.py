@@ -89,6 +89,8 @@ def _cmd_rank(args) -> int:
     except RankUndetermined:
         _emit({"rank": "undetermined"})
         return 0
+    except SearchSpaceExceeded as exc:
+        raise _CliError(str(exc)) from None
     _emit({"rank": result.value, "method": result.method.value})
     return 0
 

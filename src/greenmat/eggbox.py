@@ -1,11 +1,12 @@
 """Egg-box decomposition of the boolean matrix monoid, with JSON/DOT output.
 
 Matrices are grouped into L-, R-, H- and D-classes; each D-class is a
-grid of H-classes indexed by (R-class, L-class).  D is computed as the
-join of the L- and R-partitions, which agrees with the one-intermediate
-definition; the equivalence of the two routes is pinned by tests.  All
-orderings come from the fixed total order on bit-encoded matrices, so
-renderings are deterministic.
+grid of H-classes indexed by (R-class, L-class).  L- and R-classes are
+the matrices with equal row-space and column-space keys (_boolspace).
+D is computed as the join of the L- and R-partitions, which agrees with
+the one-intermediate definition; the equivalence of the two routes is
+pinned by tests.  All orderings come from the fixed total order on
+bit-encoded matrices, so renderings are deterministic.
 """
 
 from __future__ import annotations
@@ -42,19 +43,11 @@ class EggBox:
     d_classes: tuple[DClass, ...]
 
 
-def _group_by(size: int, same) -> list[int]:
-    """Class index per element, classes numbered by first (least) member."""
-    class_of = [-1] * size
-    reps: list[int] = []
-    for m in range(size):
-        for idx, rep in enumerate(reps):
-            if same(m, rep):
-                class_of[m] = idx
-                break
-        else:
-            class_of[m] = len(reps)
-            reps.append(m)
-    return class_of
+def _number_classes(keys: list[int]) -> list[int]:
+    """Class index per element, where equal keys share a class; classes are
+    numbered by first (least) member."""
+    number: dict[int, int] = {}
+    return [number.setdefault(k, len(number)) for k in keys]
 
 
 def eggbox(n: int) -> EggBox:
@@ -62,8 +55,8 @@ def eggbox(n: int) -> EggBox:
     if not 1 <= n <= 3:
         raise UnsupportedParams("egg-box decomposition is available for 1 <= n <= 3")
     sp = space(n)
-    l_of = _group_by(sp.size, lambda a, b: sp.leq_l(a, b) and sp.leq_l(b, a))
-    r_of = _group_by(sp.size, lambda a, b: sp.leq_r(a, b) and sp.leq_r(b, a))
+    l_of = _number_classes(sp.row_keys)  # a L b iff Row(a) = Row(b)
+    r_of = _number_classes(sp.col_keys)  # a R b iff Col(a) = Col(b)
     # D = join of L and R: union-find over elements seeded by both partitions
     parent = list(range(sp.size))
 

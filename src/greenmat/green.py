@@ -3,12 +3,13 @@
 Containment of row spaces (and dually column spaces) is decided through
 residuation: the greatest S with S*b <= a entrywise exists because the
 supported semifields are idempotent and totally ordered, and a = s*b is
-solvable iff that principal solution attains equality.  Row and column
-spaces themselves are never materialized.
+solvable iff that principal solution attains equality.
 
-D, J and the J-pre-order have no residuation characterisation here and
-are decided by bounded exhaustive search, available over the boolean
-semifield only and for sizes up to 3.
+D, J and the J-pre-order have no residuation characterisation here.
+They are decided over the boolean semifield only, for sizes up to 3,
+from the row- and column-space keys of _boolspace (D = R o L,
+leqJ = leqL o leqR), and every witness found there is re-verified on
+Matrix objects before it is returned.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import semiring
+# all_boolean_matrices is not called here any more; it stays a module
+# attribute because perfbench/tracing.py wraps green.all_boolean_matrices.
 from .matrix import (
     DimensionMismatch,
     Matrix,
@@ -40,11 +43,14 @@ class GreenRelation(enum.Enum):
     J = "J"
 
 
-#: Relations decidable only by bounded search over the boolean semifield.
+#: Relations decided over the boolean semifield only, by _boolspace keys.
 BOUNDED_SEARCH = frozenset({GreenRelation.D, GreenRelation.J, GreenRelation.LEQ_J})
 
-#: Largest size admitted to the bounded D / J / leqJ searches.
+#: Largest size admitted to the D / J / leqJ deciders.
 MAX_BOUNDED_N = 3
+
+#: Largest shorter side admitted to the exhaustive boolean rank search.
+MAX_RANK_SEARCH_SIDE = 5
 
 
 class UndecidableOverSemifield(ValueError):
@@ -168,17 +174,9 @@ def relate_witness(a: Matrix, b: Matrix, rel: GreenRelation) -> dict | None:
             return None
         return {**lw, **rw}
     if rel is GreenRelation.D:
-        for c in all_boolean_matrices(a.rows, a.rows):
-            if relate(a, c, GreenRelation.R) and relate(c, b, GreenRelation.L):
-                return {"c": c}
-        return None
+        return _boolean_d_witness(a, b)
     if rel is GreenRelation.LEQ_J:
-        for s in all_boolean_matrices(a.rows, a.rows):
-            sb = mat_mul(s, b)
-            for t in all_boolean_matrices(a.rows, a.rows):
-                if mat_mul(sb, t) == a:
-                    return {"s": s, "t": t}
-        return None
+        return _boolean_leq_j_witness(a, b)
     if rel is GreenRelation.J:
         fwd = relate_witness(a, b, GreenRelation.LEQ_J)
         if fwd is None:
@@ -191,6 +189,36 @@ def relate_witness(a: Matrix, b: Matrix, rel: GreenRelation) -> dict | None:
             "s_backward": bwd["s"], "t_backward": bwd["t"],
         }
     raise ValueError(f"unknown relation {rel!r}")
+
+
+def _boolean_d_witness(a: Matrix, b: Matrix) -> dict | None:
+    """The first c in index order with a R c and c L b, found by keys and
+    re-verified by the residuation deciders."""
+    from ._boolspace import matrix_to_index, space  # _boolspace imports this module
+
+    sp = space(a.rows)
+    c = sp.d_witness(matrix_to_index(a), matrix_to_index(b))
+    if c is None:
+        return None
+    cm = sp.matrix_of(c)
+    if not (relate(a, cm, GreenRelation.R) and relate(cm, b, GreenRelation.L)):
+        raise AssertionError("D witness from the space keys fails the reference deciders")
+    return {"c": cm}
+
+
+def _boolean_leq_j_witness(a: Matrix, b: Matrix) -> dict | None:
+    """The first (s, t) in index order with a = s*b*t, found by keys and
+    re-verified by multiplying it out."""
+    from ._boolspace import matrix_to_index, space  # _boolspace imports this module
+
+    sp = space(a.rows)
+    found = sp.leq_j_witness(matrix_to_index(a), matrix_to_index(b))
+    if found is None:
+        return None
+    s, t = sp.matrix_of(found[0]), sp.matrix_of(found[1])
+    if mat_mul(mat_mul(s, b), t) != a:
+        raise AssertionError("leqJ witness from the space keys fails s*b*t = a")
+    return {"s": s, "t": t}
 
 
 # --- factor rank ----------------------------------------------------------
@@ -241,8 +269,18 @@ def _boolean_rank_exhaustive(a: Matrix) -> int:
     Any factorization can be rewritten to use distinct nonzero columns
     without increasing k, and for a fixed B the greatest C with
     B*C <= a already attains equality whenever any C does, so checking
-    that single C per column choice is exact.
+    that single C per column choice is exact.  The columns of B range
+    over the 2**rows - 1 nonzero masks, so the search runs on the
+    shorter side (rank(a^T) = rank(a)) and stops beyond
+    MAX_RANK_SEARCH_SIDE.
     """
+    if min(a.rows, a.cols) > MAX_RANK_SEARCH_SIDE:
+        raise SearchSpaceExceeded(
+            f"boolean factor rank search is limited to matrices with a side "
+            f"of at most {MAX_RANK_SEARCH_SIDE}, got {a.rows}x{a.cols}"
+        )
+    if a.rows > a.cols:
+        a = transpose(a)
     col_masks = []
     for j in range(a.cols):
         m = 0
@@ -273,8 +311,9 @@ def factor_rank(a: Matrix) -> RankResult:
 
     Zero matrices have rank 0; rank <= 1 is decided for every supported
     semifield; full-support 2x2 matrices fall to the ad != bc
-    criterion; boolean matrices of any size are settled by exhaustive
-    search over factorizations.
+    criterion; boolean matrices with a side of at most
+    MAX_RANK_SEARCH_SIDE are settled by exhaustive search over
+    factorizations, and larger ones raise SearchSpaceExceeded.
     """
     if is_zero_matrix(a):
         return RankResult(0, RankMethod.ZERO_MATRIX)

@@ -89,6 +89,23 @@ class TestRank:
         out = json.loads(capsys.readouterr().out)
         assert out == {"rank": 0, "method": "ZeroMatrix"}
 
+    @pytest.mark.parametrize("rows, cols", [(6, 6), (6, 9), (9, 6)])
+    def test_boolean_search_beyond_limit_is_one_line_error(self, capsys, tmp_path, rows, cols):
+        # the identity block is rank min(rows, cols) and needs the exhaustive search
+        entries = [[int(i == j) for j in range(cols)] for i in range(rows)]
+        path = write_json(tmp_path / "big.json", matrix_to_json(mx.from_rows(B, entries)))
+        assert cli.main(["rank", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: boolean factor rank search is limited")
+        assert captured.err.count("\n") == 1
+
+    def test_boolean_search_runs_on_the_shorter_side(self, capsys, tmp_path):
+        entries = [[int(i == j or i == j + 5) for j in range(5)] for i in range(8)]
+        path = write_json(tmp_path / "tall.json", matrix_to_json(mx.from_rows(B, entries)))
+        assert cli.main(["rank", path]) == 0
+        assert json.loads(capsys.readouterr().out) == {"rank": 5, "method": "ExhaustiveBoolean"}
+
 
 class TestClassify:
     def test_identity_map(self, capsys, tmp_path):
@@ -155,6 +172,31 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: n must be at least 1")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--suite", "corollaries", "--semifield", "tropical", "--n", "9", "--seed", "1"],
+            ["--suite", "corollaries", "--semifield", "tropical", "--n", "40", "--seed", "1",
+             "--trials", "5"],
+            ["--suite", "corollaries", "--semifield", "tropical_int", "--n", "9", "--seed", "1"],
+            ["--suite", "h_theorem", "--semifield", "tropical", "--n", "1000", "--seed", "1"],
+        ],
+    )
+    def test_tropical_n_beyond_limit_is_one_line_error(self, capsys, args):
+        assert cli.main(["verify", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "error: suites over a tropical carrier are limited to n <= 8"
+        )
+        assert captured.err.count("\n") == 1
+
+    def test_tropical_n_at_limit_runs(self, capsys):
+        argv = ["verify", "--suite", "corollaries", "--semifield", "tropical", "--n", "8",
+                "--seed", "1", "--trials", "1"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["n"] == 8
 
     @pytest.mark.parametrize("suite", ["corollaries", "h_theorem"])
     @pytest.mark.parametrize("trials", ["0", "-5"])

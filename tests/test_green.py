@@ -5,14 +5,19 @@ containment is checked by enumerating multiplier matrices, and boolean
 factor rank by enumerating whole factorizations.
 """
 
+import functools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from greenmat import _boolspace
 from greenmat import matrix as mx
 from greenmat import semiring as sr
 from greenmat.green import (
     GreenRelation,
     RankMethod,
+    MAX_RANK_SEARCH_SIDE,
     RankUndetermined,
     SearchSpaceExceeded,
     UndecidableOverSemifield,
@@ -46,6 +51,70 @@ def oracle_boolean_rank(a):
                 if mat_mul(bm, cm) == a:
                     return k
     raise AssertionError("no factorization found")
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_bounded_witness(a, b, rel):
+    """Independent D / leqJ / J witnesses: the first intermediate or
+    multipliers in the enumeration order of all_boolean_matrices."""
+    n = a.rows
+    if rel is GR.D:
+        for c in all_boolean_matrices(n, n):
+            if relate(a, c, GR.R) and relate(c, b, GR.L):
+                return {"c": c}
+        return None
+    if rel is GR.LEQ_J:
+        for s in all_boolean_matrices(n, n):
+            sb = mat_mul(s, b)
+            for t in all_boolean_matrices(n, n):
+                if mat_mul(sb, t) == a:
+                    return {"s": s, "t": t}
+        return None
+    fwd = oracle_bounded_witness(a, b, GR.LEQ_J)
+    bwd = None if fwd is None else oracle_bounded_witness(b, a, GR.LEQ_J)
+    if bwd is None:
+        return None
+    return {"s_forward": fwd["s"], "t_forward": fwd["t"],
+            "s_backward": bwd["s"], "t_backward": bwd["t"]}
+
+
+def oracle_leq_j_bits(sp, a, b):
+    """oracle_bounded_witness for leqJ on matrix indices, through
+    BooleanSpace.mul: the same enumeration, fast enough for n = 3."""
+    for s in range(sp.size):
+        sb = sp.mul(s, b)
+        for t in range(sp.size):
+            if sp.mul(sb, t) == a:
+                return s, t
+    return None
+
+
+def oracle_relation(a, b, rel):
+    """Every relation from multiplier search and the bounded oracle."""
+    leq_l = oracle_exists_left_multiplier
+    def leq_r(x, y):
+        return leq_l(mx.transpose(x), mx.transpose(y))
+    return {
+        GR.LEQ_L: lambda: leq_l(a, b),
+        GR.LEQ_R: lambda: leq_r(a, b),
+        GR.L: lambda: leq_l(a, b) and leq_l(b, a),
+        GR.R: lambda: leq_r(a, b) and leq_r(b, a),
+        GR.H: lambda: leq_l(a, b) and leq_l(b, a) and leq_r(a, b) and leq_r(b, a),
+    }.get(rel, lambda: oracle_bounded_witness(a, b, rel) is not None)()
+
+
+def witness_holds(a, b, rel, w):
+    """The multipliers of a residuation witness realize the relation."""
+    mul = mat_mul
+    checks = {
+        GR.LEQ_L: lambda: mul(w["s"], b) == a,
+        GR.LEQ_R: lambda: mul(b, w["t"]) == a,
+        GR.L: lambda: mul(w["s_forward"], b) == a and mul(w["s_backward"], a) == b,
+        GR.R: lambda: mul(b, w["t_forward"]) == a and mul(a, w["t_backward"]) == b,
+    }
+    if rel is GR.H:
+        return checks[GR.L]() and checks[GR.R]()
+    return checks[rel]()
 
 
 def entrywise_leq(x, y):
@@ -211,6 +280,72 @@ class TestRelate:
             relate(zero_matrix(B, 2, 3), zero_matrix(B, 2, 3), GR.L)
 
 
+class TestBoundedByKeys:
+    """D, J and leqJ decided from row- and column-space keys give the
+    verdicts and witnesses of the Matrix-level brute-force search."""
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_every_pair_every_relation_matches_oracle(self, n):
+        mats = list(all_boolean_matrices(n, n))
+        for a in mats:
+            for b in mats:
+                for rel in GR:
+                    got = relate_witness(a, b, rel)
+                    assert (got is not None) == oracle_relation(a, b, rel), (a, b, rel)
+                    if rel in (GR.D, GR.J, GR.LEQ_J):
+                        assert got == oracle_bounded_witness(a, b, rel), (a, b, rel)
+                    elif got is not None:
+                        assert witness_holds(a, b, rel, got), (a, b, rel)
+
+    def test_witnesses_match_oracle_sampled_n3(self):
+        sp = _boolspace.space(3)
+        rng = random.Random(31)
+        perms = (0o124, 0o142, 0o214)  # permutation matrices, one row per octal digit
+        for k in range(6):
+            b = rng.randrange(sp.size)
+            a = rng.randrange(sp.size)
+            if k % 3 == 1:  # a = s*b*t, so leqJ holds
+                a = sp.mul(sp.mul(a, b), rng.randrange(sp.size))
+            elif k % 3 == 2:  # a = P*b*Q, so D and J hold
+                a = sp.mul(sp.mul(rng.choice(perms), b), rng.choice(perms))
+            ma, mb = sp.matrix_of(a), sp.matrix_of(b)
+            assert relate_witness(ma, mb, GR.D) == oracle_bounded_witness(ma, mb, GR.D), (a, b)
+            fwd, bwd = oracle_leq_j_bits(sp, a, b), oracle_leq_j_bits(sp, b, a)
+            want_leq = None if fwd is None else {"s": sp.matrix_of(fwd[0]), "t": sp.matrix_of(fwd[1])}
+            assert relate_witness(ma, mb, GR.LEQ_J) == want_leq, (a, b)
+            want_j = None
+            if fwd is not None and bwd is not None:
+                want_j = {"s_forward": sp.matrix_of(fwd[0]), "t_forward": sp.matrix_of(fwd[1]),
+                          "s_backward": sp.matrix_of(bwd[0]), "t_backward": sp.matrix_of(bwd[1])}
+            assert relate_witness(ma, mb, GR.J) == want_j, (a, b)
+
+    def test_lying_keys_fail_reverification(self, monkeypatch):
+        liar = _boolspace.BooleanSpace(2)
+        liar.row_keys = [1] * liar.size  # every row space claimed equal
+        liar.col_keys = [1] * liar.size  # and every column space
+        monkeypatch.setattr(_boolspace, "space", lambda n: liar)
+        e11 = unit_matrix(2, 1, 1, sr.one(B))
+        z = zero_matrix(B, 2, 2)
+        with pytest.raises(AssertionError):
+            relate_witness(e11, z, GR.D)
+        with pytest.raises(AssertionError):
+            relate_witness(e11, z, GR.LEQ_J)
+        with pytest.raises(AssertionError):
+            relate_witness(e11, z, GR.J)
+
+    def test_lying_searches_fail_reverification(self, monkeypatch):
+        e11 = unit_matrix(2, 1, 1, sr.one(B))
+        e22 = unit_matrix(2, 2, 2, sr.one(B))
+        sp = _boolspace.space(2)
+        # c = 0 is not R-related to e11; (s, t) = (0, 0) gives 0, not e11
+        monkeypatch.setattr(sp, "d_witness", lambda a, b: 0)
+        monkeypatch.setattr(sp, "leq_j_witness", lambda a, b: (0, 0))
+        with pytest.raises(AssertionError, match="D witness"):
+            relate_witness(e11, e22, GR.D)
+        with pytest.raises(AssertionError, match="leqJ witness"):
+            relate_witness(e11, e22, GR.LEQ_J)
+
+
 class TestFactorRank:
     def test_zero_matrix(self):
         r = factor_rank(zero_matrix(T, 3, 3))
@@ -250,6 +385,24 @@ class TestFactorRank:
         a = mx.from_rows(B, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         r = factor_rank(a)
         assert (r.value, r.method) == (3, RankMethod.EXHAUSTIVE_BOOLEAN)
+
+    @pytest.mark.parametrize("rows, cols", [(2, 7), (3, 6), (4, 5)])
+    def test_boolean_rank_is_transpose_invariant(self, rows, cols):
+        rng = random.Random(rows * 10 + cols)
+        for _ in range(20):
+            a = mx.from_rows(B, [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)])
+            assert factor_rank(a) == factor_rank(mx.transpose(a))
+
+    def test_boolean_rank_search_limit(self):
+        side = MAX_RANK_SEARCH_SIDE + 1
+        with pytest.raises(SearchSpaceExceeded):
+            factor_rank(identity(B, side))
+        # zero and rank-one matrices never reach the search
+        assert factor_rank(zero_matrix(B, side, side)).value == 0
+        assert factor_rank(mx.from_rows(B, [[1] * side] * side)).value == 1
+        # the limit is on the shorter side: a 5 x 12 search runs
+        five = mx.from_rows(B, [[int(j % 5 == i) for j in range(12)] for i in range(5)])
+        assert factor_rank(five).value == factor_rank(mx.transpose(five)).value == 5
 
     def test_rank_invariant_on_classes_2x2(self):
         for a in MATS2:

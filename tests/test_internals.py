@@ -12,7 +12,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenmat import _boolspace, _tropfast, sampling, semiring
+from greenmat import _boolspace, _tropfast, cli, sampling, semiring
 from greenmat import linear_maps as lm
 from greenmat import matrix as mx
 from greenmat.green import GreenRelation, UndecidableOverSemifield, relate
@@ -75,6 +75,53 @@ class TestBoolspace:
                     brute[sp.mul(sb, t)] |= 1 << b
         assert sp.leq_j_table == brute
 
+    def test_key_tables_match_brute_force_closure_n3(self):
+        # a leqL b iff a = s*b and a leqR b iff a = b*t, over all products
+        sp = _boolspace.BooleanSpace(3)
+        leq_l, leq_r = [0] * sp.size, [0] * sp.size
+        for b in range(sp.size):
+            for s in range(sp.size):
+                leq_l[sp.mul(s, b)] |= 1 << b
+                leq_r[sp.mul(b, s)] |= 1 << b
+        assert sp.leq_l_table == leq_l
+        assert sp.leq_r_table == leq_r
+
+        def equivalence(leq):
+            return [
+                sum(1 << b for b in range(sp.size) if (leq[a] >> b) & 1 and (leq[b] >> a) & 1)
+                for a in range(sp.size)
+            ]
+
+        l_tab, r_tab = equivalence(leq_l), equivalence(leq_r)
+        assert sp.l_table == l_tab and sp.r_table == r_tab
+        # D = R o L: a R c and c L b for some c
+        d_tab = [0] * sp.size
+        for a in range(sp.size):
+            for c in range(sp.size):
+                if (r_tab[a] >> c) & 1:
+                    d_tab[a] |= l_tab[c]
+        assert sp.d_table == d_tab
+        # J = D in a finite monoid
+        assert sp.j_table == d_tab
+        assert all(sp.related(a, b, GR.L) == ((l_tab[a] >> b) & 1 == 1)
+                   and sp.related(a, b, GR.R) == ((r_tab[a] >> b) & 1 == 1)
+                   for a in range(0, sp.size, 7) for b in range(sp.size))
+
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_witness_searches_agree_with_tables(self, n):
+        sp = _boolspace.BooleanSpace(n)
+        rng = random.Random(n)
+        pairs = [(rng.randrange(sp.size), rng.randrange(sp.size)) for _ in range(200)]
+        for a, b in pairs:
+            c = sp.d_witness(a, b)
+            assert (c is not None) == sp.related(a, b, GR.D)
+            if c is not None:
+                assert sp.related(a, c, GR.R) and sp.related(c, b, GR.L)
+            st = sp.leq_j_witness(a, b)
+            assert (st is not None) == sp.related(a, b, GR.LEQ_J)
+            if st is not None:
+                assert sp.mul(sp.mul(st[0], b), st[1]) == a
+
     def test_related_matches_tables_n2(self):
         sp = _boolspace.BooleanSpace(2)
         for rel in GR:
@@ -118,6 +165,26 @@ class TestBoolspace:
         assert _boolspace.first_violation(((prem, prem),), [0, 1, 2], True) == (9, None)
         # strong converse: an unrelated pair whose images are related
         assert _boolspace.first_violation(((conc, full),), [0, 1, 2], True) == (1, (0, 0, 0, False))
+
+
+#: SHA-256 of `greenmat eggbox --n N --format F` stdout, recorded before the
+#: L- and R-classes were numbered by space keys.
+EGGBOX_DIGESTS = {
+    (1, "json"): "59a891f0ac7ff3048c7b807b865b76141a621eb194b9efbdfa8baf97ad280dc1",
+    (1, "dot"): "24ad3962d02b3fee2e75a4d2c3d1c925e067e29cb14d3a7cebe4ce2d2722eb04",
+    (2, "json"): "0e347bf153c0595b9e4d6880a95b2959d521a07352cffcd2594a25ae133ccedf",
+    (2, "dot"): "160b3530a4bca5e3eafdb67a801e7b749be3da992b0de20acd31e0c16ef13be7",
+    (3, "json"): "6c9d1e9d3762a141c3abe0777e905432b4f7b492ed42de709498eb5a120dde48",
+    (3, "dot"): "2f6cde355e113aa3f42392b2622f6fde9f3175501c689b44cbedc060a555525d",
+}
+
+
+@pytest.mark.parametrize("n, fmt", sorted(EGGBOX_DIGESTS))
+def test_eggbox_output_is_byte_identical_to_golden(capsys, n, fmt):
+    _boolspace.space.cache_clear()
+    assert cli.main(["eggbox", "--n", str(n), "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == EGGBOX_DIGESTS[(n, fmt)]
 
 
 def _shape_of_forms(n):
