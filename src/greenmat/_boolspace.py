@@ -3,6 +3,11 @@
 Matrix number k has a one in cell (i, j) iff bit i*n + j of k is set --
 the same total order as matrix.all_boolean_matrices.
 
+A workspace is built on integers alone, with no Matrix objects and no
+per-cell loop: the transpose of every index comes from a recurrence on
+its lowest set bit, and the row masks of every index are built on first
+use.  Only matrix_of turns an index back into a Matrix.
+
 Every relation here is decided from two keys per matrix: its row space
 and its column space, each a 2**n-bit mask of the vectors spanned (by
 OR-ing subsets of rows, or of columns).  Over M_n(B), a leqL b iff
@@ -21,8 +26,9 @@ or exchange check, of one map or of all of them, is one
 from __future__ import annotations
 
 import functools
+import itertools
 
-from .matrix import Matrix, all_boolean_matrices
+from .matrix import Matrix
 from .semiring import Semifield
 from . import semiring
 from .green import GreenRelation
@@ -48,23 +54,22 @@ class BooleanSpace:
             raise ValueError("exhaustive boolean workspace supports 1 <= n <= 3")
         self.n = n
         self.size = 1 << (n * n)
-        mask = (1 << n) - 1
-        self.rows = [
-            tuple((m >> (i * n)) & mask for i in range(n)) for m in range(self.size)
-        ]
-        self.transposed = [self._transpose_bits(m) for m in range(self.size)]
-        self.identity = matrix_to_index(
-            _identity_matrix(n)
-        )
+        # transposes one set bit at a time: the lowest set bit of m is
+        # cell c = i*n + j, whose image in the transpose is unit[c] = cell j*n + i
+        unit = [1 << (c % n * n + c // n) for c in range(n * n)]
+        transposed = [0] * self.size
+        for m in range(1, self.size):
+            low = m & -m
+            transposed[m] = transposed[m ^ low] | unit[low.bit_length() - 1]
+        self.transposed = transposed
+        self.identity = sum(1 << (i * n + i) for i in range(n))
 
-    def _transpose_bits(self, m: int) -> int:
-        out = 0
-        n = self.n
-        for i in range(n):
-            for j in range(n):
-                if (m >> (i * n + j)) & 1:
-                    out |= 1 << (j * n + i)
-        return out
+    @functools.cached_property
+    def rows(self) -> list[tuple[int, ...]]:
+        """The rows of each matrix as n-bit masks, row 0 first.  Row 0
+        holds the lowest bits, so it is the fastest-varying coordinate,
+        which product() puts last."""
+        return [r[::-1] for r in itertools.product(range(1 << self.n), repeat=self.n)]
 
     def matrix_of(self, index: int) -> Matrix:
         n = self.n
@@ -278,12 +283,6 @@ def _compose(first: list[int], second: list[int]) -> list[int]:
     return out
 
 
-def _identity_matrix(n: int) -> Matrix:
-    from .matrix import identity
-
-    return identity(Semifield.BOOLEAN, n)
-
-
 def act_on_bits(cell_map: tuple[int, ...], m: int) -> int:
     """Apply a cell permutation (a boolean unit-permutation map) to matrix bits."""
     out = 0
@@ -298,8 +297,6 @@ def act_on_bits(cell_map: tuple[int, ...], m: int) -> int:
 
 def all_cell_maps(n: int):
     """All (n*n)! cell permutations, i.e. all bijective linear maps over B."""
-    import itertools
-
     return itertools.permutations(range(n * n))
 
 

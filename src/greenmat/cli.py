@@ -3,11 +3,15 @@
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on any
 parse or validation error.  All JSON output is byte-stable for fixed
 inputs, and every randomized suite requires an explicit --seed.
+
+The argument parser is built once per process, on the first call of
+main, and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -157,7 +161,12 @@ def format_report(r: SuiteReport, style: str = "json") -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process.  Sharing it is safe: parse_args
+    returns a new Namespace per call, argparse looks up sys.stdout and
+    sys.stderr only when it writes, and each subcommand's function reads
+    the module globals it needs when it runs."""
     parser = argparse.ArgumentParser(
         prog="greenmat",
         description="Green's relations, factor rank and preserver classification "

@@ -5,7 +5,9 @@ grid of H-classes indexed by (R-class, L-class).  L- and R-classes are
 the matrices with equal row-space and column-space keys (_boolspace).
 D is computed as the join of the L- and R-partitions, which agrees with
 the one-intermediate definition; the equivalence of the two routes is
-pinned by tests.  All orderings come from the fixed total order on
+pinned by tests.  Each H-class is ranked on the column masks of its
+least member (green.boolean_rank_of_columns), and the ranks must agree
+across a D-class.  All orderings come from the fixed total order on
 bit-encoded matrices, so renderings are deterministic.
 """
 
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._boolspace import space
-from .green import factor_rank
+from .green import boolean_rank_of_columns
 from .matrix import Matrix, matrix_to_json
 from .semiring import UnsupportedParams
 
@@ -95,8 +97,11 @@ def eggbox(n: int) -> EggBox:
         cells: dict[tuple[int, int], list[int]] = {}
         for m in elems:
             cells.setdefault((r_local[r_of[m]], l_local[l_of[m]]), []).append(m)
+        # rank from the columns of each H-class's least member: rows of
+        # its transpose
         ranks = {
-            factor_rank(sp.matrix_of(min(cell))).value for cell in cells.values()
+            boolean_rank_of_columns(sp.rows[sp.transposed[min(cell)]], n)
+            for cell in cells.values()
         }
         if len(ranks) != 1:
             raise AssertionError("factor rank is not constant on a D-class")

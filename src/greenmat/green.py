@@ -264,15 +264,11 @@ def has_factor_rank_at_most_one(a: Matrix) -> bool:
 
 
 def _boolean_rank_exhaustive(a: Matrix) -> int:
-    """Smallest k with a = B*C, by searching distinct nonzero columns for B.
+    """Boolean factor rank by boolean_rank_of_columns on the shorter side.
 
-    Any factorization can be rewritten to use distinct nonzero columns
-    without increasing k, and for a fixed B the greatest C with
-    B*C <= a already attains equality whenever any C does, so checking
-    that single C per column choice is exact.  The columns of B range
-    over the 2**rows - 1 nonzero masks, so the search runs on the
-    shorter side (rank(a^T) = rank(a)) and stops beyond
-    MAX_RANK_SEARCH_SIDE.
+    rank(a^T) = rank(a), and the columns of B range over masks of the
+    column height, so the search runs on the shorter side and stops
+    beyond MAX_RANK_SEARCH_SIDE.
     """
     if min(a.rows, a.cols) > MAX_RANK_SEARCH_SIDE:
         raise SearchSpaceExceeded(
@@ -288,8 +284,28 @@ def _boolean_rank_exhaustive(a: Matrix) -> int:
             if not semiring.is_zero(a.entries[i][j]):
                 m |= 1 << i
         col_masks.append(m)
-    candidates = list(range(1, 1 << a.rows))
-    for k in range(2, min(a.rows, a.cols) + 1):
+    return boolean_rank_of_columns(col_masks, a.rows)
+
+
+def boolean_rank_of_columns(col_masks, height: int) -> int:
+    """Factor rank of the boolean matrix whose column j has a one in row i
+    iff bit i of col_masks[j] is set: the smallest k with a = B*C, B of
+    k columns.  The zero matrix has rank 0 and k = 1 is the rank-one case.
+
+    Any factorization can be rewritten to use distinct nonzero columns
+    without increasing k, and in one of least k every column of B lies
+    inside a column of a it is used for; so the search takes k-sets of
+    such masks.  For a fixed B the greatest C with B*C <= a already
+    attains equality whenever any C does, so checking that single C per
+    choice is exact: column j is covered iff the chosen masks inside it
+    OR to it.
+    """
+    if not any(col_masks):
+        return 0
+    candidates = [
+        c for c in range(1, 1 << height) if any(c & ~t == 0 for t in col_masks)
+    ]
+    for k in range(1, min(height, len(col_masks)) + 1):
         for chosen in itertools.combinations(candidates, k):
             if all(
                 _best_cover(chosen, target) == target for target in col_masks

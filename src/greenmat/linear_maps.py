@@ -40,6 +40,7 @@ from .matrix import (
     matrix_from_json,
     matrix_to_json,
     mat_add,
+    require_size,
     scalar_mul,
     zero_matrix,
 )
@@ -635,9 +636,7 @@ def linear_map_to_json(t: LinearMap) -> dict:
 def linear_map_from_json(obj) -> LinearMap:
     if not isinstance(obj, dict) or set(obj) != _MAP_KEYS:
         raise ParseError(f"linear map object must have exactly the keys {sorted(_MAP_KEYS)}")
-    n = obj["n"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ParseError("n must be a positive integer")
+    n = require_size(obj["n"], "n")
     try:
         sf = Semifield(obj["semifield"])
     except ValueError:

@@ -255,6 +255,12 @@ def monomial_inverse(m: MonomialMatrix) -> MonomialMatrix:
 
 _MATRIX_KEYS = {"semifield", "rows", "cols", "entries"}
 
+#: The largest number of rows or columns the JSON readers accept (also
+#: the largest n of a linear map).  Deciding a relation is cubic in the
+#: side, in exact rational operations: at this limit a tropical H with
+#: 1000-digit entries takes seconds, not minutes.
+MAX_MATRIX_SIDE = 16
+
 
 def _semifield_from_name(name) -> Semifield:
     try:
@@ -263,9 +269,12 @@ def _semifield_from_name(name) -> Semifield:
         raise ParseError(f"unknown semifield {name!r}") from None
 
 
-def _require_size(x, what: str) -> int:
+def require_size(x, what: str) -> int:
+    """x as a matrix side: an int from 1 to MAX_MATRIX_SIDE."""
     if isinstance(x, bool) or not isinstance(x, int) or x < 1:
         raise ParseError(f"{what} must be a positive integer, got {x!r}")
+    if x > MAX_MATRIX_SIDE:
+        raise ParseError(f"{what} must be at most {MAX_MATRIX_SIDE}, got {x}")
     return x
 
 
@@ -282,8 +291,8 @@ def matrix_from_json(obj) -> Matrix:
     if not isinstance(obj, dict) or set(obj) != _MATRIX_KEYS:
         raise ParseError(f"matrix object must have exactly the keys {sorted(_MATRIX_KEYS)}")
     sf = _semifield_from_name(obj["semifield"])
-    rows = _require_size(obj["rows"], "rows")
-    cols = _require_size(obj["cols"], "cols")
+    rows = require_size(obj["rows"], "rows")
+    cols = require_size(obj["cols"], "cols")
     raw = obj["entries"]
     if not isinstance(raw, list) or len(raw) != rows:
         raise ParseError(f"expected {rows} entry rows")

@@ -1,13 +1,22 @@
 """CLI behavior: outputs, exit codes, determinism, strict parsing."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from greenmat import cli
 from greenmat import matrix as mx
 from greenmat.linear_maps import linear_map_to_json, to_linear_map
-from greenmat.matrix import matrix_from_json, matrix_to_json, monomial_identity, zero_matrix
+from greenmat.matrix import (
+    MAX_MATRIX_SIDE,
+    matrix_from_json,
+    matrix_to_json,
+    monomial_identity,
+    zero_matrix,
+)
 from greenmat.semiring import Semifield
 from greenmat.verify import SuiteReport
 
@@ -17,6 +26,18 @@ B, T = Semifield.BOOLEAN, Semifield.TROPICAL
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def run(argv):
+    """(exit code, stdout, stderr) of one in-process request; argparse
+    rejections raise SystemExit, whose code counts as the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture
@@ -361,3 +382,154 @@ class TestParsing:
         cli.main(["relate", "--rel", "leqL", zero_file, ones_file])
         out = json.loads(capsys.readouterr().out)
         matrix_from_json(out["witness"]["s"])
+
+
+class TestSizeLimit:
+    """Matrix sides and map sizes above MAX_MATRIX_SIDE are parse errors."""
+
+    @staticmethod
+    def _tropical(rows, cols):
+        return {"semifield": "tropical", "rows": rows, "cols": cols,
+                "entries": [[str((i + j) % 3) for j in range(cols)] for i in range(rows)]}
+
+    @pytest.mark.parametrize("side, code", [(MAX_MATRIX_SIDE, 0), (MAX_MATRIX_SIDE + 1, 2)])
+    @pytest.mark.parametrize("shape", ["rows", "cols", "square"])
+    def test_rank(self, tmp_path, side, code, shape):
+        rows, cols = {"rows": (side, 1), "cols": (1, side), "square": (side, side)}[shape]
+        path = write_json(tmp_path / "m.json", self._tropical(rows, cols))
+        got, out, err = run(["rank", path])
+        assert got == code
+        if code == 2:
+            assert out == ""
+            assert err == f"error: {path}: {'cols' if shape == 'cols' else 'rows'} must be at most {MAX_MATRIX_SIDE}, got {side}\n"
+
+    @pytest.mark.parametrize("side, code", [(MAX_MATRIX_SIDE, 0), (MAX_MATRIX_SIDE + 1, 2)])
+    def test_relate(self, tmp_path, side, code):
+        path = write_json(tmp_path / "m.json", self._tropical(side, side))
+        got, out, err = run(["relate", "--rel", "H", path, path])
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["related"] is True
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n, code", [(MAX_MATRIX_SIDE, 0), (MAX_MATRIX_SIDE + 1, 2)])
+    def test_classify(self, tmp_path, n, code):
+        images = []
+        for i in range(n):
+            for j in range(n):
+                entries = [["0"] * n for _ in range(n)]
+                entries[i][j] = "1"
+                images.append({"semifield": "boolean", "rows": n, "cols": n, "entries": entries})
+        path = write_json(tmp_path / "map.json", {"n": n, "semifield": "boolean", "images": images})
+        got, out, err = run(["classify", path])
+        assert got == code
+        if code == 0:
+            assert json.loads(out)["transposed"] is False
+        else:
+            assert out == ""
+            assert err == f"error: {path}: n must be at most {MAX_MATRIX_SIDE}, got {n}\n"
+
+
+class TestSharedParser:
+    def test_request_sequence_is_order_independent(self, tmp_path, monkeypatch):
+        # one parser serves every request of the process: an argparse
+        # rejection, an error and a monkeypatched suite must leave nothing
+        # behind that a later request could see
+        two = write_json(tmp_path / "two.json", matrix_to_json(mx.from_rows(B, [[1, 0], [1, 1]])))
+        three = write_json(tmp_path / "three.json", matrix_to_json(zero_matrix(B, 3, 3)))
+        fake = SuiteReport("t1", "boolean", 2, "exhaustive", False,
+                           {"maps_enumerated": 0}, ({"problem": "forced"},))
+        monkeypatch.setattr(cli, "run_suite", lambda name, params: fake)
+        requests = [
+            ["relate", "--rel", "Q", two, two],
+            ["relate", "--rel", "leqL", two, two],
+            ["relate", "--rel", "L", two, three],
+            ["verify", "--suite", "t1"],
+            ["eggbox", "--n", "4"],
+        ]
+        cli._build_parser.cache_clear()
+        forward = [run(argv) for argv in requests]
+        backward = [run(argv) for argv in reversed(requests)][::-1]
+        assert cli._build_parser.cache_info().misses == 1
+        assert forward == backward
+        assert [code for code, _, _ in forward] == [2, 0, 2, 1, 2]
+        assert "invalid choice: 'Q'" in forward[0][2]
+        assert json.loads(forward[1][1])["related"] is True
+        assert json.loads(forward[3][1])["passed"] is False
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_ENTRY = {
+    "boolean": st.sampled_from(["0", "1"]),
+    "tropical": st.sampled_from(["-inf", "0", "1", "-2", "1/2", "-3/4"]),
+    "tropical_int": st.sampled_from(["-inf", "0", "1", "-2"]),
+}
+_BAD_ENTRY = st.sampled_from(["2", "1/2", "2/4", "3/1", "-0", "x", "", "1e5"]) | st.text(max_size=4)
+
+
+@st.composite
+def _matrix_json(draw, semifield=None, rows=None, cols=None):
+    sf = semifield or draw(st.sampled_from(sorted(_ENTRY)))
+    rows = rows or draw(st.integers(1, 4))
+    cols = cols or draw(st.integers(1, 4))
+    entries = [[draw(_ENTRY[sf]) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.integers(0, 5)) == 0:
+        entries[draw(st.integers(0, rows - 1))][draw(st.integers(0, cols - 1))] = draw(_BAD_ENTRY)
+    return {"semifield": sf, "rows": rows, "cols": cols, "entries": entries}
+
+
+@st.composite
+def _map_json(draw):
+    sf = draw(st.sampled_from(sorted(_ENTRY)))
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        # a unit permutation with arbitrary coefficients: classify gets past its first check
+        cells = draw(st.permutations(range(n * n)))
+        images = []
+        for c in cells:
+            entries = [["0" if sf == "boolean" else "-inf"] * n for _ in range(n)]
+            entries[c // n][c % n] = draw(_ENTRY[sf])
+            images.append({"semifield": sf, "rows": n, "cols": n, "entries": entries})
+    else:
+        images = [draw(_matrix_json(sf, n, n)) for _ in range(n * n)]
+    return {"n": n, "semifield": sf, "images": images}
+
+
+@st.composite
+def _request(draw):
+    def doc(wellformed):  # one document in four is arbitrary JSON
+        return draw(_JSON) if draw(st.integers(0, 3)) == 0 else draw(wellformed)
+
+    command = draw(st.sampled_from(["relate", "rank", "classify"]))
+    if command == "relate":
+        rel = draw(st.sampled_from(cli._REL_CHOICES + ["Q"]))
+        sf, n = draw(st.sampled_from(sorted(_ENTRY))), draw(st.integers(1, 4))
+        a = doc(_matrix_json(sf, n, n))
+        b = doc(st.just(a) | _matrix_json(sf, n, n) | _matrix_json())
+        return [command, "--rel", rel], [a, b]
+    if command == "rank":
+        return [command], [doc(_matrix_json())]
+    return [command], [doc(_map_json())]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_request())
+def test_fuzzed_requests_end_cleanly_and_repeat_exactly(tmp_path_factory, request_):
+    head, docs = request_
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for k, obj in enumerate(docs):
+        path = folder / f"{k}.json"
+        path.write_text(json.dumps(obj))
+        paths.append(str(path))
+    argv = head + paths
+    first = run(argv)
+    code, _, err = first
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert run(argv) == first

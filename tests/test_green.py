@@ -21,6 +21,7 @@ from greenmat.green import (
     RankUndetermined,
     SearchSpaceExceeded,
     UndecidableOverSemifield,
+    boolean_rank_of_columns,
     factor_rank,
     has_factor_rank_at_most_one,
     left_residual,
@@ -385,6 +386,20 @@ class TestFactorRank:
         a = mx.from_rows(B, [[0, 1, 1], [1, 0, 1], [1, 1, 0]])
         r = factor_rank(a)
         assert (r.value, r.method) == (3, RankMethod.EXHAUSTIVE_BOOLEAN)
+
+    def test_rank_of_columns_matches_factor_rank_all_3x3(self):
+        # independent oracle: rank <= k iff m is an OR of k outer products u*v
+        outer = {
+            sum(v << (3 * i) for i in range(3) if (u >> i) & 1)
+            for u in range(8) for v in range(8)
+        }
+        at_most = [{0}, outer, {x | y for x in outer for y in outer}]
+        sp = _boolspace.space(3)
+        for m in range(sp.size):
+            columns = [sum(((m >> (3 * i + j)) & 1) << i for i in range(3)) for j in range(3)]
+            rank = boolean_rank_of_columns(columns, 3)
+            assert rank == factor_rank(sp.matrix_of(m)).value, m
+            assert rank == next((k for k in range(3) if m in at_most[k]), 3), m
 
     @pytest.mark.parametrize("rows, cols", [(2, 7), (3, 6), (4, 5)])
     def test_boolean_rank_is_transpose_invariant(self, rows, cols):

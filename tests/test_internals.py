@@ -56,6 +56,17 @@ class TestBoolspace:
             assert sp.leq_l(i, j) == relate(a, b, GR.LEQ_L)
             assert sp.leq_r(i, j) == relate(a, b, GR.LEQ_R)
 
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_transposed_and_rows_match_per_cell_definitions(self, n):
+        sp = _boolspace.BooleanSpace(n)
+        cells = [(i, j) for i in range(n) for j in range(n)]
+        for m in range(sp.size):
+            bit = {(i, j): (m >> (i * n + j)) & 1 for i, j in cells}
+            assert sp.transposed[m] == sum(bit[i, j] << (j * n + i) for i, j in cells)
+            assert sp.rows[m] == tuple(
+                sum(bit[i, j] << j for j in range(n)) for i in range(n)
+            )
+
     def test_act_on_bits(self):
         # the transposition of cells for n = 2 swaps the two off-diagonal bits
         cell_map = (0, 2, 1, 3)
