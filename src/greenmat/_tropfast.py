@@ -14,24 +14,37 @@ the case ``L = 1``.  Values stay Python ints, which grow as needed:
 scaled magnitudes reach about 127 bits at the sampler's sizes, beyond
 any fixed-width type, and floats are never used.
 
-Grids are tuples of rows, with ``None`` for -inf.  Two kinds of caller
-use the kernel:
+Grids are tuples of rows, with ``None`` for -inf.  Three kinds of
+caller use the kernel:
 
 * the randomized ``corollaries`` loop of the verify module scales each
   pair and each map once (`scale_grids`), meets them at a common scale
   while applying the map (`apply_scaled`), and decides on the integer
   images (`decide`);
-* callers holding two `Matrix` objects go through `decide_matrices`,
-  which sends the tropical carriers and the relations above to the
-  kernel and everything else (the boolean carrier, D, J, leqJ) to
-  ``green.relate``.  These are the randomized preservation and exchange
-  checks and the sticky search of the linear_maps module, and the
-  rejection tests of the sampling module.
+* callers holding two `Matrix` objects go through `decide_matrices`.
+  These are the randomized preservation and exchange checks and the
+  sticky search of the linear_maps module, and the rejection tests of
+  the sampling module;
+* ``greenmat relate`` goes through `relate_witness`, which also builds
+  the witness as the integer principal solution (`principal_solution`)
+  and multiplies it out on integers (`max_plus`) before returning it.
+
+The last two send a pair to the kernel only where `kernel_grids` admits
+it: the tropical carriers, the relations above, square matrices of one
+size, and a common scale of at most MAX_SCALE_BITS bits.  Everything
+else (the boolean carrier, D, J, leqJ, invalid input) goes to the green
+module, and so do over-cap pairs: the lcm of many large distinct
+denominators grows with their sum, and integer residuation at such
+scales is slower than Fraction residuation (see MAX_SCALE_BITS).  The
+cap is tested with an early-exit lcm, so a hostile pair costs little to
+turn away: for a 16x16 matrix of 1000-digit denominators the full lcm
+(850 kbit) takes 1.2 s and the capped check 0.3 ms.
 
 The kernel is trusted only on verdicts that agree with the paper's
 classification.  A verdict against it (a counterexample, a sticky
 survivor, a failed corollary) is re-decided by the reference decider
-through `reverify` before it is reported.
+through `reverify` before it is reported.  A witness that ``relate``
+reports has been multiplied out.
 
 `grid_of`, `map_rep`, `apply_map` and `related` keep the exact
 ``(num, den)`` pair contract for callers that hold one matrix or one
@@ -47,9 +60,10 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 
+from . import green
 from .matrix import Matrix
 from .green import GreenRelation, relate
-from .semiring import Semifield
+from .semiring import MINUS_INF, Semifield, SemifieldValue
 
 _TOP = object()
 
@@ -57,6 +71,14 @@ _TOP = object()
 KERNEL_RELATIONS = frozenset(
     {GreenRelation.LEQ_L, GreenRelation.LEQ_R, GreenRelation.L, GreenRelation.R, GreenRelation.H}
 )
+
+#: The largest common scale, in bits, at which a pair of matrices reaches
+#: the kernel.  Scaling by the lcm loses to Fraction residuation once the
+#: lcm is huge.  On relate requests (a 2-CPU VM, Python 3.11.7) the kernel
+#: took 0.06 to 0.51 of the reference's time up to 6.4-kbit scales, 1.07 at
+#: 15.9 kbit, 1.87 at 63 kbit and 4.2 at 253 kbit; a 16x16 H request with
+#: 1000-digit denominators took 47 s on the kernel and 7.5 s by reference.
+MAX_SCALE_BITS = 8192
 
 
 def grid_of(a: Matrix) -> tuple:
@@ -95,6 +117,62 @@ def scale_grids(*grids: tuple) -> tuple[int, tuple]:
             for row in g
         )
         for g in grids
+    )
+
+
+def _capped_scale(dens: set) -> int | None:
+    """The lcm of ``dens``, or None when it has more than MAX_SCALE_BITS bits.
+
+    The lcm divides the product, whose bit length is at most the count
+    times the largest bit length, so a bound under the cap settles it at
+    once; otherwise the lcm is built up and the loop stops as soon as it
+    passes the cap, before it grows further.
+    """
+    if max(dens, default=1).bit_length() * len(dens) <= MAX_SCALE_BITS:
+        return lcm(*dens)
+    scale = 1
+    for d in dens:
+        scale = lcm(scale, d)
+        if scale.bit_length() > MAX_SCALE_BITS:
+            return None
+    return scale
+
+
+def kernel_grids(a: Matrix, b: Matrix, rel: GreenRelation) -> tuple | None:
+    """``(L, a, b)`` with ``a`` and ``b`` as integer grids at their common
+    scale ``L`` when the kernel decides ``a rel b``, else None.
+
+    The kernel takes L, R, H, leqL and leqR on square matrices of one size
+    over one tropical carrier whose common scale fits in MAX_SCALE_BITS.
+    Everything else (the boolean carrier, D, J, leqJ, mixed carriers,
+    mismatched or non-square sizes and over-cap scales) belongs to the
+    green module, which also raises the errors for invalid input.
+    """
+    if not (
+        rel in KERNEL_RELATIONS
+        and a.semifield.is_tropical
+        and a.semifield is b.semifield
+        and a.rows == a.cols == b.rows == b.cols
+    ):
+        return None
+    # payloads are Fractions or, over tropical_int, ints (denominator 1)
+    scale = _capped_scale({
+        e.payload.denominator
+        for m in (a, b) for row in m.entries for e in row if e.payload is not MINUS_INF
+    })
+    if scale is None:
+        return None
+    return scale, _at_scale(a, scale), _at_scale(b, scale)
+
+
+def _at_scale(m: Matrix, scale: int) -> tuple:
+    """The integer grid of ``scale * m``."""
+    return tuple(
+        tuple(
+            None if (p := e.payload) is MINUS_INF else p.numerator * (scale // p.denominator)
+            for e in row
+        )
+        for row in m.entries
     )
 
 
@@ -163,19 +241,109 @@ def related(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
 
 
 def decide_matrices(a: Matrix, b: Matrix, rel: GreenRelation) -> bool:
-    """Decide ``a rel b`` on the kernel where it applies, else by ``green.relate``.
+    """Decide ``a rel b`` on the kernel where `kernel_grids` admits the
+    pair, else by ``green.relate``."""
+    scaled = kernel_grids(a, b, rel)
+    if scaled is None:
+        return relate(a, b, rel)
+    return decide(scaled[1], scaled[2], rel)
 
-    Mixed carriers and mismatched or non-square sizes also go to
-    ``green.relate``, which rejects them.
+
+def principal_solution(agrid: tuple, bgrid: tuple) -> tuple:
+    """The greatest integer grid ``s`` with ``s*b <= a``, as in `leq_l`.
+
+    The top element an all -inf row of b leaves is projected to 0, the
+    multiplicative identity, as ``green.left_residual`` does.
     """
-    if (
-        rel in KERNEL_RELATIONS
-        and a.semifield.is_tropical
-        and a.semifield is b.semifield
-        and a.rows == a.cols == b.rows == b.cols
-    ):
-        return related(grid_of(a), grid_of(b), rel)
-    return relate(a, b, rel)
+    out = []
+    for arow in agrid:
+        srow = []
+        for brow in bgrid:
+            s = _TOP
+            for x, y in zip(arow, brow):
+                if y is None:
+                    continue
+                if x is None:
+                    s = None
+                    break
+                if s is _TOP or x - y < s:
+                    s = x - y
+            srow.append(0 if s is _TOP else s)
+        out.append(tuple(srow))
+    return tuple(out)
+
+
+def max_plus(sgrid: tuple, bgrid: tuple) -> tuple:
+    """The max-plus product of two integer grids."""
+    out = []
+    for srow in sgrid:
+        orow = []
+        for bcol in zip(*bgrid):
+            acc = None
+            for x, y in zip(srow, bcol):
+                if x is not None and y is not None and (acc is None or x + y > acc):
+                    acc = x + y
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+#: The witness of each kernel relation, in the order of the keys of
+#: ``green.relate_witness``: (key, transposed, backward).  A leqL part
+#: solves ``s*b = a``; a transposed part solves it for the transposes and
+#: is transposed back, giving ``a = b*t``; a backward part swaps a and b.
+_WITNESS_PARTS = {
+    GreenRelation.LEQ_L: (("s", False, False),),
+    GreenRelation.LEQ_R: (("t", True, False),),
+    GreenRelation.L: (("s_forward", False, False), ("s_backward", False, True)),
+    GreenRelation.R: (("t_forward", True, False), ("t_backward", True, True)),
+    GreenRelation.H: (
+        ("s_forward", False, False), ("s_backward", False, True),
+        ("t_forward", True, False), ("t_backward", True, True),
+    ),
+}
+
+
+def relate_witness(a: Matrix, b: Matrix, rel: GreenRelation) -> dict | None:
+    """``green.relate_witness``, decided and solved on the kernel where
+    `kernel_grids` admits the pair.
+
+    The verdict comes from `decide`.  Each multiplier of a positive verdict
+    is the integer principal solution at the common scale ``L``; it is
+    multiplied out on integers, raising AssertionError unless it gives the
+    matrix it solves for, and returned as a Matrix at ``1/L``.
+    """
+    scaled = kernel_grids(a, b, rel)
+    if scaled is None:
+        return green.relate_witness(a, b, rel)
+    scale, ga, gb = scaled
+    if not decide(ga, gb, rel):
+        return None
+    witness = {}
+    for key, transposed, backward in _WITNESS_PARTS[rel]:
+        x, y = (gb, ga) if backward else (ga, gb)
+        if transposed:
+            x, y = transpose_grid(x), transpose_grid(y)
+        s = principal_solution(x, y)
+        if max_plus(s, y) != x:
+            raise AssertionError(f"{key} witness from the kernel fails to multiply out")
+        witness[key] = _lift(a.semifield, scale, transpose_grid(s) if transposed else s)
+    return witness
+
+
+def _lift(sf: Semifield, scale: int, grid: tuple) -> Matrix:
+    """The Matrix over ``sf`` of an integer grid at scale ``scale``
+    (always 1 over tropical_int, whose payloads are ints)."""
+    zero = SemifieldValue(sf, MINUS_INF)
+    ints = sf is Semifield.TROPICAL_INT
+    n = len(grid)
+    return Matrix(sf, n, n, tuple(
+        tuple(
+            zero if v is None else SemifieldValue(sf, v if ints else Fraction(v, scale))
+            for v in row
+        )
+        for row in grid
+    ))
 
 
 def reverify(a: Matrix, b: Matrix, rel: GreenRelation, expected: bool) -> None:

@@ -15,6 +15,7 @@ import functools
 import json
 import sys
 
+from . import _tropfast
 from .eggbox import eggbox, eggbox_to_dot, eggbox_to_json
 from .green import (
     GreenRelation,
@@ -22,7 +23,6 @@ from .green import (
     SearchSpaceExceeded,
     UndecidableOverSemifield,
     factor_rank,
-    relate_witness,
 )
 from .linear_maps import (
     CanonicalForm,
@@ -54,13 +54,26 @@ def _emit(obj) -> None:
     print(json.dumps(obj, indent=2))
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, rejecting a key that occurs twice."""
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = val
+    return obj
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, duplicate keys, bytes that are
+        # not UTF-8 and integers beyond Python's digit limit; RecursionError
+        # covers nesting too deep for the decoder
         raise _CliError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -76,7 +89,7 @@ def _cmd_relate(args) -> int:
     b = _load_matrix(args.b)
     rel = GreenRelation(args.rel)
     try:
-        witness = relate_witness(a, b, rel)
+        witness = _tropfast.relate_witness(a, b, rel)
     except (DimensionMismatch, MixedSemifields, UndecidableOverSemifield, SearchSpaceExceeded) as exc:
         raise _CliError(str(exc)) from None
     out = {"related": witness is not None, "witness": None}

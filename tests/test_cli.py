@@ -361,6 +361,54 @@ class TestParsing:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    @staticmethod
+    def _assert_one_line_error(result, needle):
+        code, out, err = result
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
+
+    def test_duplicate_key_in_matrix_file(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('{"semifield": "tropical", "rows": 1, "rows": 1, "cols": 1, "entries": [["1"]]}')
+        self._assert_one_line_error(run(["rank", str(path)]), "duplicate key 'rows'")
+        self._assert_one_line_error(
+            run(["relate", "--rel", "L", str(path), str(path)]), "duplicate key 'rows'"
+        )
+
+    @pytest.mark.parametrize("where", ["map", "image"])
+    def test_duplicate_key_in_map_file(self, tmp_path, where):
+        image = '{"semifield": "boolean", "rows": 1, "cols": 1, "entries": [["1"]]}'
+        if where == "image":
+            image = image.replace('"cols": 1', '"cols": 1, "cols": 1')
+        text = f'{{"n": 1, "semifield": "boolean", "images": [{image}]}}'
+        if where == "map":
+            text = text.replace('"n": 1', '"n": 1, "n": 1')
+        path = tmp_path / "map.json"
+        path.write_text(text)
+        dup = "'n'" if where == "map" else "'cols'"
+        self._assert_one_line_error(run(["classify", str(path)]), f"duplicate key {dup}")
+
+    def test_same_key_in_different_objects_is_accepted(self, tmp_path):
+        image = '{"semifield": "boolean", "rows": 1, "cols": 1, "entries": [["1"]]}'
+        path = tmp_path / "map.json"
+        path.write_text(f'{{"n": 1, "semifield": "boolean", "images": [{image}]}}')
+        assert run(["classify", str(path)])[0] == 0
+
+    @pytest.mark.parametrize(
+        "data, needle",
+        [
+            (b'{"semifield": "tropical", "rows": ' + b"1" * 5000 + b"}", "digits"),
+            (b"\xff\xfe{}", "utf-8"),
+            (b"[" * 100000 + b"]" * 100000, "recursion"),
+        ],
+        ids=["huge-int", "not-utf8", "deep-nesting"],
+    )
+    def test_undecodable_file_is_one_line_error(self, tmp_path, data, needle):
+        path = tmp_path / "m.json"
+        path.write_bytes(data)
+        self._assert_one_line_error(run(["rank", str(path)]), needle)
+
     def test_wrong_arity(self, capsys, tmp_path):
         obj = matrix_to_json(zero_matrix(B, 2, 2))
         obj["entries"][1] = ["0"]

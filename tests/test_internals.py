@@ -1,7 +1,9 @@
 """The bit-level and integer max-plus fast paths agree with the
 reference deciders; the exhaustive suites lean on these equivalences."""
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -12,7 +14,7 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenmat import _boolspace, _tropfast, cli, sampling, semiring
+from greenmat import _boolspace, _tropfast, cli, green, sampling, semiring
 from greenmat import linear_maps as lm
 from greenmat import matrix as mx
 from greenmat.green import GreenRelation, UndecidableOverSemifield, relate
@@ -418,7 +420,7 @@ class TestDecideMatrices:
         rng = random.Random(5)
         pairs = [sampling.related_pair(rng, B, 2, rel) for rel in GR]
         pairs.append((sampling.random_matrix(rng, B, 2), sampling.random_matrix(rng, B, 2)))
-        monkeypatch.setattr(_tropfast, "related", None)  # the kernel must not be reached
+        monkeypatch.setattr(_tropfast, "decide", None)  # the kernel must not be reached
         for a, b in pairs:
             for rel in GR:
                 assert _tropfast.decide_matrices(a, b, rel) == relate(a, b, rel), rel
@@ -460,7 +462,7 @@ class TestLyingKernel:
     @pytest.mark.parametrize("sf", (T, TI))
     @pytest.mark.parametrize("strong", (False, True))
     def test_false_negatives_do_not_become_counterexamples(self, monkeypatch, sf, strong):
-        monkeypatch.setattr(_tropfast, "related", lambda a, b, rel: False)
+        monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel: False)
         mode = lm.Randomized(seed=3, trials=5)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             lm.check_preservation(_seeded_map(sf, 2, "standard", 1), GR.L, mode, strong=strong)
@@ -471,7 +473,7 @@ class TestLyingKernel:
     def test_false_positives_do_not_become_counterexamples(self, monkeypatch, sf):
         # honest sampling, so unrelated pairs reach the strong checks
         monkeypatch.setattr(sampling, "decide_matrices", relate)
-        monkeypatch.setattr(_tropfast, "related", lambda a, b, rel: True)
+        monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel: True)
         mode = lm.Randomized(seed=4, trials=5)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             lm.check_preservation(_seeded_map(sf, 2, "standard", 3), GR.H, mode, strong=True)
@@ -482,7 +484,7 @@ class TestLyingKernel:
 
     @pytest.mark.parametrize("sf", (T, TI))
     def test_sticky_survivor_is_rechecked(self, monkeypatch, sf):
-        monkeypatch.setattr(_tropfast, "related", lambda a, b, rel: True)
+        monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel: True)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             lm.find_sticky(sf, lm.RandomizedTropical(seed=1, trials=3))
 
@@ -714,3 +716,270 @@ def test_exhaustive_exchange_verdicts_match_golden(pair):
         for strong in (False, True)
     ]
     assert _exhaustive_digest(texts) == _EXHAUSTIVE_EXCHANGE_GOLDEN[pair]
+
+
+# --- greenmat relate on the tropical carriers -----------------------------
+
+
+def _golden_entry(rng, sf):
+    if rng.random() < 0.2:
+        return None
+    if sf is TI:
+        return rng.randint(-20, 20)
+    return Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 5, 7, 12)))
+
+
+def _golden_grid(rng, sf, n):
+    return [[_golden_entry(rng, sf) for _ in range(n)] for _ in range(n)]
+
+
+def _golden_monomial(rng, sf, n):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return _matrix(sf, [
+        [_golden_entry(rng, sf) or 0 if perm[i] == j else None for j in range(n)]
+        for i in range(n)
+    ])
+
+
+#: The kinds of (a, b) pair in the relate golden set; each runs in both orders.
+_GOLDEN_KINDS = (
+    "random", "left", "right", "two_sided", "left_monomial", "right_monomial",
+    "scalar", "self", "blank_row", "blank_col",
+)
+
+
+def _golden_relate_pairs():
+    """Tropical and tropical_int pairs at n = 1..4: random pairs, one- and
+    two-sided multiples, L-, R- and H-related pairs, and multiples of a b
+    with an all -inf row or column, with mixed denominators over tropical."""
+    rng = random.Random(2017)
+    for sf in (T, TI):
+        for n in (1, 2, 3, 4):
+            for kind in _GOLDEN_KINDS:
+                b_rows = _golden_grid(rng, sf, n)
+                k = rng.randrange(n)
+                if kind == "blank_row":
+                    b_rows[k] = [None] * n
+                elif kind == "blank_col":
+                    for row in b_rows:
+                        row[k] = None
+                b = _matrix(sf, b_rows)
+                if kind == "random":
+                    a = _matrix(sf, _golden_grid(rng, sf, n))
+                elif kind in ("left", "blank_row"):
+                    a = mat_mul(_matrix(sf, _golden_grid(rng, sf, n)), b)
+                elif kind in ("right", "blank_col"):
+                    a = mat_mul(b, _matrix(sf, _golden_grid(rng, sf, n)))
+                elif kind == "two_sided":
+                    a = mat_mul(mat_mul(_matrix(sf, _golden_grid(rng, sf, n)), b),
+                                _matrix(sf, _golden_grid(rng, sf, n)))
+                elif kind == "left_monomial":
+                    a = mat_mul(_golden_monomial(rng, sf, n), b)
+                elif kind == "right_monomial":
+                    a = mat_mul(b, _golden_monomial(rng, sf, n))
+                elif kind == "scalar":
+                    c = _golden_entry(rng, sf) or 1
+                    a = mx.scalar_mul(semiring.value(sf, c), b)
+                else:
+                    a = b
+                yield a, b
+                yield b, a
+
+
+#: SHA-256 of the concatenated stdout of `greenmat relate --rel R a b` over
+#: _golden_relate_pairs and the five kernel relations, recorded while every
+#: tropical relate request was decided by green.relate_witness.
+_RELATE_GOLDEN = "4b59957a851df809ad1ec8bf56363f520c49bb36f20a3c2d39d7d985a6fa07d3"
+
+
+def test_tropical_relate_output_is_byte_identical_to_golden(tmp_path, capsys):
+    outs = []
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    for a, b in _golden_relate_pairs():
+        a_path.write_text(json.dumps(mx.matrix_to_json(a)))
+        b_path.write_text(json.dumps(mx.matrix_to_json(b)))
+        for rel in _FAST_RELS:
+            assert cli.main(["relate", "--rel", rel.value, str(a_path), str(b_path)]) == 0
+            outs.append(capsys.readouterr().out)
+    verdicts = [json.loads(o)["related"] for o in outs]
+    assert len(outs) == 2 * 4 * len(_GOLDEN_KINDS) * 2 * 5
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == _RELATE_GOLDEN
+
+
+def _witness_items(w):
+    return None if w is None else list(w.items())
+
+
+def _assert_witness_matches_reference(a, b):
+    for rel in _FAST_RELS:
+        got = _tropfast.relate_witness(a, b, rel)
+        assert _witness_items(got) == _witness_items(green.relate_witness(a, b, rel)), rel
+
+
+def _spy(monkeypatch, module, name, calls):
+    """Wrap module.name so that each call appends (name, result) to calls."""
+    fn = getattr(module, name)
+
+    def wrapper(*args):
+        result = fn(*args)
+        calls.append((name, result))
+        return result
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _relate_stdout(tmp_path, rel, a, b):
+    a_path, b_path = tmp_path / "a.json", tmp_path / "b.json"
+    a_path.write_text(json.dumps(mx.matrix_to_json(a)))
+    b_path.write_text(json.dumps(mx.matrix_to_json(b)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["relate", "--rel", rel.value, str(a_path), str(b_path)]) == 0
+    return out.getvalue()
+
+
+def _reference_stdout(witness) -> str:
+    return json.dumps({
+        "related": witness is not None,
+        "witness": None if witness is None
+        else {k: mx.matrix_to_json(m) for k, m in witness.items()},
+    }, indent=2) + "\n"
+
+
+def _capped_denominators():
+    """Denominators 2^3000, 3^2000 and 5^m whose product has at most
+    MAX_SCALE_BITS bits, with m as large as that allows (every one has
+    fewer than 1000 digits, so the CLI reads them)."""
+    base = 2**3000 * 3**2000
+    m = 0
+    while (base * 5 ** (m + 1)).bit_length() <= _tropfast.MAX_SCALE_BITS:
+        m += 1
+    return 2**3000, 3**2000, 5**m
+
+
+def _capped_pair(last_den):
+    d2, d3, _ = _capped_denominators()
+    a = _matrix(T, [[Fraction(1, d2), 0, None], [2, Fraction(-7, d3), 1], [0, None, Fraction(3, last_den)]])
+    return a, mx.scalar_mul(semiring.value(T, Fraction(5, 3)), a)
+
+
+class TestRelateWitness:
+    """`_tropfast.relate_witness` returns what `green.relate_witness` returns,
+    key order included, and falls back to it outside the kernel's reach."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: _pairs(T, n, (1, 2, 3, 8), (5, 9, 10), True)))
+    def test_matches_reference_on_generated_pairs(self, pair):
+        _assert_witness_matches_reference(*pair)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda n: st.tuples(
+            _tropical_grids(n, ints=True), _tropical_grids(n, ints=True), st.booleans()
+        ))
+    )
+    def test_matches_reference_on_generated_integer_pairs(self, grids):
+        rows_s, rows_b, product = grids
+        b = _matrix(TI, rows_b)
+        a = mat_mul(_matrix(TI, rows_s), b) if product else _matrix(TI, rows_s)
+        _assert_witness_matches_reference(a, b)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(0, 2**32), st.sampled_from((T, TI)), st.integers(1, 4),
+        st.sampled_from(_FAST_RELS),
+    )
+    def test_matches_reference_on_sampled_pairs(self, seed, sf, n, rel):
+        rng = random.Random(seed)
+        _assert_witness_matches_reference(*sampling.related_pair(rng, sf, n, rel))
+        pair = sampling.unrelated_pair(rng, sf, n, rel)
+        if pair is not None:
+            _assert_witness_matches_reference(*pair)
+
+    def test_other_inputs_go_to_reference(self, monkeypatch):
+        rng = random.Random(8)
+        a, b = _matrix(T, [[0, 1], [2, None]]), _matrix(T, [[1, 1], [3, None]])
+        monkeypatch.setattr(_tropfast, "decide", None)  # the kernel must not be reached
+        for rel in GR:
+            x, y = sampling.related_pair(rng, B, 2, rel)
+            assert _witness_items(_tropfast.relate_witness(x, y, rel)) == _witness_items(
+                green.relate_witness(x, y, rel)
+            )
+        for rel, other, error in (
+            (GR.L, _matrix(TI, [[0, 1], [2, None]]), MixedSemifields),
+            (GR.H, _matrix(T, [[0]]), DimensionMismatch),
+            (GR.D, b, UndecidableOverSemifield),
+        ):
+            with pytest.raises(error):
+                _tropfast.relate_witness(a, other, rel)
+
+    def test_witness_that_fails_to_multiply_out_raises(self, monkeypatch):
+        a = _matrix(T, [[0, Fraction(1, 2)], [1, 2]])
+        honest = _tropfast.principal_solution
+
+        def lying(x, y):
+            s = honest(x, y)
+            return ((s[0][0] - 1,) + s[0][1:],) + s[1:]
+
+        monkeypatch.setattr(_tropfast, "principal_solution", lying)
+        for rel in _FAST_RELS:
+            with pytest.raises(AssertionError, match="fails to multiply out"):
+                _tropfast.relate_witness(a, a, rel)
+
+    def test_scale_cap_boundary(self):
+        over = 2 ** _tropfast.MAX_SCALE_BITS  # one bit over the cap
+        a = _matrix(T, [[Fraction(1, over // 2), 0], [1, 2]])
+        assert _tropfast.kernel_grids(a, a, GR.H) is not None
+        b = _matrix(T, [[Fraction(1, over), 0], [1, 2]])
+        assert _tropfast.kernel_grids(b, b, GR.H) is None
+        # bit lengths summing past the cap, with an lcm under it
+        c = _matrix(T, [[Fraction(1, over // 2), Fraction(1, over // 4)], [1, 2]])
+        assert _tropfast.kernel_grids(c, c, GR.H) is not None
+        # two denominators under the cap whose lcm is over it
+        d = _matrix(T, [[Fraction(1, 3 ** 3000), Fraction(1, 2 ** 4000)], [1, 2]])
+        assert _tropfast.kernel_grids(d, d, GR.H) is None
+
+    def test_over_cap_decisions_go_to_reference(self, monkeypatch):
+        huge = _matrix(T, [[Fraction(1, 2 ** _tropfast.MAX_SCALE_BITS), 0], [1, 2]])
+        monkeypatch.setattr(_tropfast, "decide", None)  # the kernel must not be reached
+        for rel in _FAST_RELS:
+            assert _tropfast.decide_matrices(huge, huge, rel) is True
+
+    def test_pair_under_the_cap_takes_the_kernel(self, tmp_path, monkeypatch):
+        a, b = _capped_pair(_capped_denominators()[2])
+        calls = []
+        _spy(monkeypatch, _tropfast, "decide", calls)
+        _spy(monkeypatch, green, "relate_witness", calls)
+        out = _relate_stdout(tmp_path, GR.H, a, b)
+        assert [name for name, _ in calls] == ["decide"]
+        assert out == _reference_stdout(green.relate_witness(a, b, GR.H))
+        assert json.loads(out)["related"] is True
+
+    def test_pair_over_the_cap_goes_to_reference(self, tmp_path, monkeypatch):
+        a, b = _capped_pair(_capped_denominators()[2] * 5)
+        calls = []
+        monkeypatch.setattr(_tropfast, "decide", None)
+        _spy(monkeypatch, green, "relate_witness", calls)
+        out = _relate_stdout(tmp_path, GR.H, a, b)
+        assert out == _reference_stdout(calls[-1][1])  # the outermost call ends last
+        assert json.loads(out)["related"] is True
+
+    def test_hostile_request_goes_to_reference(self, tmp_path, monkeypatch):
+        """16x16 H of a matrix of 1000-digit denominators with itself: its
+        lcm is far over the cap, so the reference answers."""
+        rng = random.Random(1)
+        side = mx.MAX_MATRIX_SIDE
+        a = _matrix(T, [
+            [Fraction(rng.randrange(-10**999, 10**999), rng.randrange(10**999, 10**1000))
+             for _ in range(side)]
+            for _ in range(side)
+        ])
+        calls = []
+        monkeypatch.setattr(_tropfast, "decide", None)
+        monkeypatch.setattr(_tropfast, "principal_solution", None)
+        _spy(monkeypatch, green, "relate_witness", calls)
+        out = _relate_stdout(tmp_path, GR.H, a, a)
+        assert out == _reference_stdout(calls[-1][1])
+        assert json.loads(out)["related"] is True
