@@ -14,6 +14,10 @@ the case ``L = 1``.  Values stay Python ints, which grow as needed:
 scaled magnitudes reach about 127 bits at the sampler's sizes, beyond
 any fixed-width type, and floats are never used.
 
+The kernel decides leqL by `leq_l` and leqR by `leq_l` on the transposes,
+and composes L, R and H from them by ``green.EQUIVALENCE_PARTS``, the
+table the reference decider composes by.
+
 Grids are tuples of rows, with ``None`` for -inf.  Three kinds of
 caller use the kernel:
 
@@ -67,10 +71,21 @@ from .semiring import MINUS_INF, Semifield, SemifieldValue
 
 _TOP = object()
 
-#: The relations the integer kernel decides.
-KERNEL_RELATIONS = frozenset(
-    {GreenRelation.LEQ_L, GreenRelation.LEQ_R, GreenRelation.L, GreenRelation.R, GreenRelation.H}
+#: The one orientation step: leqL is `leq_l`, and leqR is `leq_l` on the
+#: transposes, its multiplier transposed back.  (witness key, transposed)
+_PREORDERS = {GreenRelation.LEQ_L: ("s", False), GreenRelation.LEQ_R: ("t", True)}
+
+#: Each kernel relation as (oriented pre-orders, needed both ways): the two
+#: pre-orders, and the equivalences ``green.EQUIVALENCE_PARTS`` builds from them.
+_COMPOSED = {rel: ((_PREORDERS[rel],), False) for rel in _PREORDERS}
+_COMPOSED.update(
+    (rel, (tuple(_PREORDERS[p] for p in parts), True))
+    for rel, parts in green.EQUIVALENCE_PARTS.items()
+    if _PREORDERS.keys() >= set(parts)
 )
+
+#: The relations the integer kernel decides.
+KERNEL_RELATIONS = frozenset(_COMPOSED)
 
 #: The largest common scale, in bits, at which a pair of matrices reaches
 #: the kernel.  Scaling by the lcm loses to Fraction residuation once the
@@ -217,21 +232,15 @@ def leq_l(agrid: tuple, bgrid: tuple) -> bool:
 
 def decide(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
     """Decide ``a rel b`` for integer grids at one common scale."""
-    if rel is GreenRelation.LEQ_L:
-        return leq_l(agrid, bgrid)
-    if rel is GreenRelation.LEQ_R:
-        return leq_l(transpose_grid(agrid), transpose_grid(bgrid))
-    if rel is GreenRelation.L:
-        return leq_l(agrid, bgrid) and leq_l(bgrid, agrid)
-    if rel is GreenRelation.R:
-        at, bt = transpose_grid(agrid), transpose_grid(bgrid)
-        return leq_l(at, bt) and leq_l(bt, at)
-    if rel is GreenRelation.H:
-        if not (leq_l(agrid, bgrid) and leq_l(bgrid, agrid)):
+    try:
+        parts, both = _COMPOSED[rel]
+    except KeyError:
+        raise ValueError(f"no fast decider for {rel.value}") from None
+    for _, transposed in parts:
+        x, y = (transpose_grid(agrid), transpose_grid(bgrid)) if transposed else (agrid, bgrid)
+        if not leq_l(x, y) or both and not leq_l(y, x):
             return False
-        at, bt = transpose_grid(agrid), transpose_grid(bgrid)
-        return leq_l(at, bt) and leq_l(bt, at)
-    raise ValueError(f"no fast decider for {rel.value}")
+    return True
 
 
 def related(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
@@ -288,22 +297,6 @@ def max_plus(sgrid: tuple, bgrid: tuple) -> tuple:
     return tuple(out)
 
 
-#: The witness of each kernel relation, in the order of the keys of
-#: ``green.relate_witness``: (key, transposed, backward).  A leqL part
-#: solves ``s*b = a``; a transposed part solves it for the transposes and
-#: is transposed back, giving ``a = b*t``; a backward part swaps a and b.
-_WITNESS_PARTS = {
-    GreenRelation.LEQ_L: (("s", False, False),),
-    GreenRelation.LEQ_R: (("t", True, False),),
-    GreenRelation.L: (("s_forward", False, False), ("s_backward", False, True)),
-    GreenRelation.R: (("t_forward", True, False), ("t_backward", True, True)),
-    GreenRelation.H: (
-        ("s_forward", False, False), ("s_backward", False, True),
-        ("t_forward", True, False), ("t_backward", True, True),
-    ),
-}
-
-
 def relate_witness(a: Matrix, b: Matrix, rel: GreenRelation) -> dict | None:
     """``green.relate_witness``, decided and solved on the kernel where
     `kernel_grids` admits the pair.
@@ -319,15 +312,17 @@ def relate_witness(a: Matrix, b: Matrix, rel: GreenRelation) -> dict | None:
     scale, ga, gb = scaled
     if not decide(ga, gb, rel):
         return None
+    parts, both = _COMPOSED[rel]
+    directions = (("_forward", False), ("_backward", True)) if both else (("", False),)
     witness = {}
-    for key, transposed, backward in _WITNESS_PARTS[rel]:
-        x, y = (gb, ga) if backward else (ga, gb)
-        if transposed:
-            x, y = transpose_grid(x), transpose_grid(y)
-        s = principal_solution(x, y)
-        if max_plus(s, y) != x:
-            raise AssertionError(f"{key} witness from the kernel fails to multiply out")
-        witness[key] = _lift(a.semifield, scale, transpose_grid(s) if transposed else s)
+    for key, transposed in parts:
+        x, y = (transpose_grid(ga), transpose_grid(gb)) if transposed else (ga, gb)
+        for suffix, backward in directions:
+            p, q = (y, x) if backward else (x, y)
+            s = principal_solution(p, q)
+            if max_plus(s, q) != p:
+                raise AssertionError(f"{key}{suffix} witness from the kernel fails to multiply out")
+            witness[key + suffix] = _lift(a.semifield, scale, transpose_grid(s) if transposed else s)
     return witness
 
 

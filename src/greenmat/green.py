@@ -5,6 +5,10 @@ residuation: the greatest S with S*b <= a entrywise exists because the
 supported semifields are idempotent and totally ordered, and a = s*b is
 solvable iff that principal solution attains equality.
 
+The equivalences L, R, H and J are composed from the pre-orders in one
+place, EQUIVALENCE_PARTS, which the integer kernel of _tropfast also
+reads: each listed pre-order must hold from a to b and from b to a.
+
 D, J and the J-pre-order have no residuation characterisation here.
 They are decided over the boolean semifield only, for sizes up to 3,
 from the row- and column-space keys of _boolspace (D = R o L,
@@ -42,6 +46,16 @@ class GreenRelation(enum.Enum):
     D = "D"
     J = "J"
 
+
+#: The pre-orders each equivalence needs in both directions, in the order
+#: they are decided: L, R and J are leqL, leqR and leqJ both ways, and H is
+#: the intersection of L and R (Green 1951; Howie 1995).
+EQUIVALENCE_PARTS = {
+    GreenRelation.L: (GreenRelation.LEQ_L,),
+    GreenRelation.R: (GreenRelation.LEQ_R,),
+    GreenRelation.H: (GreenRelation.LEQ_L, GreenRelation.LEQ_R),
+    GreenRelation.J: (GreenRelation.LEQ_J,),
+}
 
 #: Relations decided over the boolean semifield only, by _boolspace keys.
 BOUNDED_SEARCH = frozenset({GreenRelation.D, GreenRelation.J, GreenRelation.LEQ_J})
@@ -139,55 +153,37 @@ def relate_witness(a: Matrix, b: Matrix, rel: GreenRelation) -> dict | None:
     """Decide a rel b; on success return the multiplier matrices realizing it.
 
     Witness keys: "s" with a = s*b (leqL), "t" with a = b*t (leqR),
-    "s"/"t" with a = s*b*t (leqJ), forward/backward variants for the
-    equivalences, and "c" for the intermediate element of D.
+    "s"/"t" with a = s*b*t (leqJ), "c" for the intermediate element of D,
+    and for an equivalence the keys of each pre-order in EQUIVALENCE_PARTS
+    with "_forward" (a to b) and then "_backward" (b to a) appended.
     """
     _check_relate_pre(a, b, rel)
+    parts = EQUIVALENCE_PARTS.get(rel)
+    if parts is None:
+        return _direct_witness(a, b, rel)
+    witness = {}
+    for pre in parts:
+        for x, y, suffix in ((a, b, "_forward"), (b, a, "_backward")):
+            w = _direct_witness(x, y, pre)
+            if w is None:
+                return None
+            for key, m in w.items():
+                witness[key + suffix] = m
+    return witness
+
+
+def _direct_witness(a: Matrix, b: Matrix, rel: GreenRelation) -> dict | None:
+    """The witness of a pre-order or of D, which are not composed."""
     if rel is GreenRelation.LEQ_L:
         ok, s = _leq_l(a, b)
         return {"s": s} if ok else None
     if rel is GreenRelation.LEQ_R:
         ok, s = _leq_l(transpose(a), transpose(b))
         return {"t": transpose(s)} if ok else None
-    if rel is GreenRelation.L:
-        fwd = relate_witness(a, b, GreenRelation.LEQ_L)
-        if fwd is None:
-            return None
-        bwd = relate_witness(b, a, GreenRelation.LEQ_L)
-        if bwd is None:
-            return None
-        return {"s_forward": fwd["s"], "s_backward": bwd["s"]}
-    if rel is GreenRelation.R:
-        fwd = relate_witness(a, b, GreenRelation.LEQ_R)
-        if fwd is None:
-            return None
-        bwd = relate_witness(b, a, GreenRelation.LEQ_R)
-        if bwd is None:
-            return None
-        return {"t_forward": fwd["t"], "t_backward": bwd["t"]}
-    if rel is GreenRelation.H:
-        lw = relate_witness(a, b, GreenRelation.L)
-        if lw is None:
-            return None
-        rw = relate_witness(a, b, GreenRelation.R)
-        if rw is None:
-            return None
-        return {**lw, **rw}
     if rel is GreenRelation.D:
         return _boolean_d_witness(a, b)
     if rel is GreenRelation.LEQ_J:
         return _boolean_leq_j_witness(a, b)
-    if rel is GreenRelation.J:
-        fwd = relate_witness(a, b, GreenRelation.LEQ_J)
-        if fwd is None:
-            return None
-        bwd = relate_witness(b, a, GreenRelation.LEQ_J)
-        if bwd is None:
-            return None
-        return {
-            "s_forward": fwd["s"], "t_forward": fwd["t"],
-            "s_backward": bwd["s"], "t_backward": bwd["t"],
-        }
     raise ValueError(f"unknown relation {rel!r}")
 
 

@@ -29,6 +29,13 @@ GENERATOR_NAME = "python-random-mt19937"
 P_BOUND = 10**6
 Q_BOUND = 10**3
 
+#: Probability that `random_scalar` draws zero outright; a boolean draw
+#: that passes is then zero or one with equal odds.
+ZERO_PROB = 0.125
+
+#: Draws `unrelated_pair` makes before it gives up and returns None.
+MAX_ATTEMPTS = 64
+
 
 def random_nonzero_scalar(rng: random.Random, semifield: Semifield) -> SemifieldValue:
     if semifield is Semifield.BOOLEAN:
@@ -40,30 +47,18 @@ def random_nonzero_scalar(rng: random.Random, semifield: Semifield) -> Semifield
     return semiring.value(semifield, Fraction(p, q))
 
 
-def random_scalar(
-    rng: random.Random, semifield: Semifield, zero_prob: float = 0.125
-) -> SemifieldValue:
-    if rng.random() < zero_prob:
+def random_scalar(rng: random.Random, semifield: Semifield) -> SemifieldValue:
+    if rng.random() < ZERO_PROB:
         return semiring.zero(semifield)
     if semifield is Semifield.BOOLEAN:
         return semiring.one(semifield) if rng.random() < 0.5 else semiring.zero(semifield)
     return random_nonzero_scalar(rng, semifield)
 
 
-def random_matrix(
-    rng: random.Random,
-    semifield: Semifield,
-    rows: int,
-    cols: int | None = None,
-    zero_prob: float = 0.125,
-) -> Matrix:
-    cols = rows if cols is None else cols
+def random_matrix(rng: random.Random, semifield: Semifield, n: int) -> Matrix:
     return Matrix(
-        semifield, rows, cols,
-        tuple(
-            tuple(random_scalar(rng, semifield, zero_prob) for _ in range(cols))
-            for _ in range(rows)
-        ),
+        semifield, n, n,
+        tuple(tuple(random_scalar(rng, semifield) for _ in range(n)) for _ in range(n)),
     )
 
 
@@ -151,14 +146,10 @@ def related_pair(
 
 
 def unrelated_pair(
-    rng: random.Random,
-    semifield: Semifield,
-    n: int,
-    rel: GreenRelation,
-    max_attempts: int = 64,
+    rng: random.Random, semifield: Semifield, n: int, rel: GreenRelation
 ) -> tuple[Matrix, Matrix] | None:
     """Draw (a, b) with a rel b false, or None if rejection keeps failing."""
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         a = random_matrix(rng, semifield, n)
         b = random_matrix(rng, semifield, n)
         if not decide_matrices(a, b, rel):

@@ -232,6 +232,25 @@ class TestVerify:
     @pytest.mark.parametrize(
         "args",
         [
+            ["--suite", "t1", "--n", "3", "--seed", "1"],
+            ["--suite", "corollaries", "--semifield", "tropical", "--seed", "1"],
+            ["--suite", "h_theorem", "--semifield", "tropical", "--seed", "1"],
+        ],
+    )
+    def test_trials_beyond_limit_is_one_line_error(self, capsys, args):
+        assert cli.main(["verify", *args, "--trials", "10001"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: trials must be at most 10000, got 10001\n"
+
+    def test_trials_at_limit_runs(self, capsys):
+        argv = ["verify", "--suite", "t1", "--n", "3", "--seed", "1", "--trials", "10000"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["passed"] is True
+
+    @pytest.mark.parametrize(
+        "args",
+        [
             ["--suite", "h_theorem", "--semifield", "tropical", "--n", "7", "--seed", "1",
              "--trials", "2"],
             ["--suite", "h_theorem", "--semifield", "tropical_int", "--n", "3", "--seed", "1"],
