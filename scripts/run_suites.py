@@ -3,7 +3,9 @@
 
 Boolean suites run exhaustively; tropical suites run seeded.  With
 --json-dir the byte-stable JSON reports are also written to disk for
-regression diffing.
+regression diffing.  Parameters are checked for every run before the
+first starts; a rejected one ends the script with one ``error:`` line on
+stderr and exit code 2.
 """
 
 import argparse
@@ -15,7 +17,13 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from greenmat.cli import format_report
 from greenmat.semiring import Semifield
-from greenmat.verify import SuiteParams, run_suite
+from greenmat.verify import (
+    SuiteParams,
+    UnknownSuite,
+    UnsupportedParams,
+    check_params,
+    run_suite,
+)
 
 BATTERY = [
     ("t1", SuiteParams(semifield=Semifield.BOOLEAN, n=2)),
@@ -56,16 +64,26 @@ def main() -> int:
     runs = list(BATTERY) + list(
         tropical_battery(args.seed, args.trials, args.monomial_pairs)
     )
+    try:
+        for name, params in runs:
+            check_params(name, params)
+        return run_all(runs, args.json_dir)
+    except (UnknownSuite, UnsupportedParams) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def run_all(runs, json_dir) -> int:
     failures = 0
     for name, params in runs:
         report = run_suite(name, params)
         print(format_report(report, "text"))
         if not report.passed:
             failures += 1
-        if args.json_dir is not None:
-            args.json_dir.mkdir(parents=True, exist_ok=True)
+        if json_dir is not None:
+            json_dir.mkdir(parents=True, exist_ok=True)
             stem = f"{name}_{report.semifield}_n{report.n}_{report.mode}"
-            path = args.json_dir / f"{stem}.json"
+            path = json_dir / f"{stem}.json"
             path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
     print(f"{len(runs) - failures}/{len(runs)} suites passed")
     return 1 if failures else 0

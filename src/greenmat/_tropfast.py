@@ -21,27 +21,30 @@ table the reference decider composes by.
 Grids are tuples of rows, with ``None`` for -inf.  Three kinds of
 caller use the kernel:
 
-* the randomized ``corollaries`` loop of the verify module scales each
-  pair and each map once (`scale_grids`), meets them at a common scale
-  while applying the map (`apply_scaled`), and decides on the integer
-  images (`decide`);
+* the two randomized map loops, the ``corollaries`` suite of the verify
+  module and the randomized preservation and exchange checks of the
+  linear_maps module, scale each map once (`scale_map`) and each pair
+  once (`kernel_grids`), and `decide_images` meets the two at their
+  common scale while applying the map (`apply_scaled`) and decides on
+  the integer images (`decide`).  Only a counterexample, or a pair the
+  kernel does not take, has its images built as `Matrix` objects;
 * callers holding two `Matrix` objects go through `decide_matrices`.
-  These are the randomized preservation and exchange checks and the
-  sticky search of the linear_maps module, and the rejection tests of
-  the sampling module;
+  These are the fallback of the map loops, the sticky search of the
+  linear_maps module, and the rejection tests of the sampling module;
 * ``greenmat relate`` goes through `relate_witness`, which also builds
   the witness as the integer principal solution (`principal_solution`)
   and multiplies it out on integers (`max_plus`) before returning it.
 
-The last two send a pair to the kernel only where `kernel_grids` admits
-it: the tropical carriers, the relations above, square matrices of one
-size, and a common scale of at most MAX_SCALE_BITS bits.  Everything
-else (the boolean carrier, D, J, leqJ, invalid input) goes to the green
-module, and so do over-cap pairs: the lcm of many large distinct
-denominators grows with their sum, and integer residuation at such
-scales is slower than Fraction residuation (see MAX_SCALE_BITS).  The
-cap is tested with an early-exit lcm, so a hostile pair costs little to
-turn away: for a 16x16 matrix of 1000-digit denominators the full lcm
+A pair reaches the kernel only where `kernel_grids` admits it: the
+tropical carriers, the relations above, square matrices of one size, and
+a common scale of at most MAX_SCALE_BITS bits (`_capped_scale`, which
+`decide_images` applies again to the scale the pair shares with a map).
+Everything else (the boolean carrier, D, J, leqJ, invalid input) goes to
+the green module, and so do over-cap pairs: the lcm of many large
+distinct denominators grows with their sum, and integer residuation at
+such scales is slower than Fraction residuation (see MAX_SCALE_BITS).
+The cap is tested with an early-exit lcm, so a hostile pair costs little
+to turn away: for a 16x16 matrix of 1000-digit denominators the full lcm
 (850 kbit) takes 1.2 s and the capped check 0.3 ms.
 
 The kernel is trusted only on verdicts that agree with the paper's
@@ -135,7 +138,7 @@ def scale_grids(*grids: tuple) -> tuple[int, tuple]:
     )
 
 
-def _capped_scale(dens: set) -> int | None:
+def _capped_scale(dens: set | tuple) -> int | None:
     """The lcm of ``dens``, or None when it has more than MAX_SCALE_BITS bits.
 
     The lcm divides the product, whose bit length is at most the count
@@ -143,7 +146,7 @@ def _capped_scale(dens: set) -> int | None:
     once; otherwise the lcm is built up and the loop stops as soon as it
     passes the cap, before it grows further.
     """
-    if max(dens, default=1).bit_length() * len(dens) <= MAX_SCALE_BITS:
+    if (max(dens) if dens else 1).bit_length() * len(dens) <= MAX_SCALE_BITS:
         return lcm(*dens)
     scale = 1
     for d in dens:
@@ -377,6 +380,36 @@ def apply_scaled(
         if x is not None:
             flat[cell] = c * fc + x * fx
     return tuple([tuple(flat[k : k + n]) for k in range(0, n * n, n)])
+
+
+def scale_map(u) -> tuple[tuple[int, ...], int, tuple]:
+    """``(cells, L_u, coefficients)``: a map's cell targets (`map_rep`) and
+    its coefficient grid as integers at the lcm ``L_u`` of its denominators."""
+    cells, coeffs = map_rep(u)
+    scale, (icoeffs,) = scale_grids(coeffs)
+    return cells, scale, icoeffs
+
+
+def decide_images(smap: tuple, scaled: tuple | None, rel: GreenRelation) -> bool | None:
+    """Decide ``T(a) rel T(b)`` on the kernel, or None where it does not apply.
+
+    ``smap`` is the map from `scale_map` and ``scaled`` the pair from
+    `kernel_grids`, None when the kernel does not take the pair.  Both are
+    brought to their common scale ``lcm(L_ab, L_u)`` while the map is
+    applied; None also when that scale passes MAX_SCALE_BITS.
+    """
+    if scaled is None:
+        return None
+    cells, scale_u, coeffs = smap
+    scale_ab, ga, gb = scaled
+    common = _capped_scale((scale_ab, scale_u))
+    if common is None:
+        return None
+    n = len(ga)
+    fc, fx = common // scale_u, common // scale_ab
+    return decide(
+        apply_scaled(cells, coeffs, ga, n, fc, fx), apply_scaled(cells, coeffs, gb, n, fc, fx), rel
+    )
 
 
 def apply_map(cells: tuple[int, ...], coeffs: tuple, xgrid: tuple, n: int) -> tuple:

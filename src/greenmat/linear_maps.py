@@ -452,31 +452,46 @@ def _check_randomized(
 ) -> Verdict:
     """Seeded related (and in strong mode unrelated) pairs for each direction.
 
-    Pairs are decided by `_tropfast.decide_matrices`, on the integer
-    kernel wherever it applies.  A counterexample is re-decided by the
-    reference decider, premise and conclusion, before it is reported.
+    The map is scaled once and each pair once, and the images are decided
+    by `images_related`, on the integer kernel wherever it applies.  A
+    counterexample is re-decided by the reference decider, premise and
+    conclusion, before it is reported.
     """
     rng = random.Random(mode.seed)
+    smap = _tropfast.scale_map(u)
+    draws = (sampling.related_pair, sampling.unrelated_pair)[: 2 if strong else 1]
     checked = 0
     for _ in range(mode.trials):
         for src, dst in directions:
-            a, b = sampling.related_pair(rng, u.semifield, u.n, src)
-            ta, tb = apply(u, a), apply(u, b)
-            checked += 1
-            if not _tropfast.decide_matrices(ta, tb, dst):
-                cx = _reverified_counterexample(a, b, ta, tb, src, dst, True, texts)
-                return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
-            if strong:
-                pair = sampling.unrelated_pair(rng, u.semifield, u.n, src)
-                if pair is None:
+            for holds, draw in zip((True, False), draws):
+                pair = draw(rng, u.semifield, u.n, src)
+                if pair is None:  # the unrelated draw gave up
                     continue
-                a2, b2 = pair
-                ta2, tb2 = apply(u, a2), apply(u, b2)
+                a, b = pair
                 checked += 1
-                if _tropfast.decide_matrices(ta2, tb2, dst):
-                    cx = _reverified_counterexample(a2, b2, ta2, tb2, src, dst, False, texts)
-                    return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
+                if images_related(u, smap, a, b, _tropfast.kernel_grids(a, b, dst), dst) == holds:
+                    continue
+                cx = _reverified_counterexample(
+                    a, b, apply(u, a), apply(u, b), src, dst, holds, texts
+                )
+                return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
     return Verdict(name, "NoCounterexampleFound", "randomized", checked, None, mode.seed)
+
+
+def images_related(
+    u: UnitPermutationMap, smap: tuple, a: Matrix, b: Matrix, scaled: tuple | None,
+    rel: GreenRelation,
+) -> bool:
+    """``u(a) rel u(b)``, for ``smap = _tropfast.scale_map(u)`` and ``scaled``
+    the pair as `_tropfast.kernel_grids` returns it.
+
+    Decided by `_tropfast.decide_images` wherever it applies, else by
+    `_tropfast.decide_matrices` on the images built by `apply`.
+    """
+    verdict = _tropfast.decide_images(smap, scaled, rel)
+    if verdict is None:
+        return _tropfast.decide_matrices(apply(u, a), apply(u, b), rel)
+    return verdict
 
 
 def _reverified_counterexample(a, b, ta, tb, src, dst, holds: bool, texts):

@@ -40,11 +40,13 @@ MAX_ATTEMPTS = 64
 def random_nonzero_scalar(rng: random.Random, semifield: Semifield) -> SemifieldValue:
     if semifield is Semifield.BOOLEAN:
         return semiring.one(semifield)
+    # the payloads are canonical as built, so `semiring.value` would only
+    # check and copy them again
     p = rng.randint(-P_BOUND, P_BOUND)
     if semifield is Semifield.TROPICAL_INT:
-        return semiring.value(semifield, p)
+        return SemifieldValue(semifield, p)
     q = rng.randint(1, Q_BOUND)
-    return semiring.value(semifield, Fraction(p, q))
+    return SemifieldValue(semifield, Fraction(p, q))
 
 
 def random_scalar(rng: random.Random, semifield: Semifield) -> SemifieldValue:

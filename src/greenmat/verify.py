@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import factorial, lcm
+from math import factorial
 
 from . import _tropfast, sampling, semiring
 from ._boolspace import act_on_bits, all_cell_maps, first_violation, space
@@ -27,6 +27,7 @@ from .linear_maps import (
     check_exchange,
     check_preservation,
     find_sticky,
+    images_related,
 )
 from .matrix import matrix_to_json, monomial_to_json
 from .semiring import Semifield, UnsupportedParams
@@ -54,6 +55,12 @@ MAX_TROPICAL_N = 8
 #: and memory grow with trials: tropical corollaries at n = 2 takes 1.8 s
 #: at 1000 trials and 18 s at 10 000 on a 2-vCPU VM (Python 3.11).
 MAX_TRIALS = 10_000
+
+#: The other counts of SuiteParams are capped by the same rule, at ten
+#: times their defaults: the maps the tropical corollaries draw, and the
+#: maps t1 samples at n = 3.
+MAX_MONOMIAL_PAIRS = 1_000
+MAX_MAP_SAMPLES = 10_000
 
 
 class UnknownSuite(ValueError):
@@ -100,25 +107,34 @@ class SuiteReport:
         }
 
 
-def run_suite(name: str, params: SuiteParams) -> SuiteReport:
-    try:
-        impl = _SUITES[name]
-    except KeyError:
-        raise UnknownSuite(
-            f"no suite named {name!r}; choose from {', '.join(SUITE_NAMES)}"
-        ) from None
+def check_params(name: str, params: SuiteParams) -> None:
+    """Raise UnknownSuite or UnsupportedParams unless ``run_suite(name,
+    params)`` may start: the checks that hold for every suite, before any
+    work is done."""
+    if name not in _SUITES:
+        raise UnknownSuite(f"no suite named {name!r}; choose from {', '.join(SUITE_NAMES)}")
     if params.n < 1:
         raise UnsupportedParams(f"n must be at least 1, got {params.n}")
-    if params.trials < 1:
-        raise UnsupportedParams(f"trials must be at least 1, got {params.trials}")
-    if params.trials > MAX_TRIALS:
-        raise UnsupportedParams(f"trials must be at most {MAX_TRIALS}, got {params.trials}")
+    for field, cap in (
+        ("trials", MAX_TRIALS),
+        ("monomial_pairs", MAX_MONOMIAL_PAIRS),
+        ("map_samples", MAX_MAP_SAMPLES),
+    ):
+        value = getattr(params, field)
+        if value < 1:
+            raise UnsupportedParams(f"{field} must be at least 1, got {value}")
+        if value > cap:
+            raise UnsupportedParams(f"{field} must be at most {cap}, got {value}")
     if params.semifield is not Semifield.BOOLEAN and params.n > MAX_TROPICAL_N:
         raise UnsupportedParams(
             f"suites over a tropical carrier are limited to n <= {MAX_TROPICAL_N}, "
             f"got {params.n}"
         )
-    return impl(params)
+
+
+def run_suite(name: str, params: SuiteParams) -> SuiteReport:
+    check_params(name, params)
+    return _SUITES[name](params)
 
 
 # --- shared helpers --------------------------------------------------------
@@ -486,11 +502,11 @@ def _corollaries_randomized(params: SuiteParams) -> SuiteReport:
     exchanges L with R (and the pre-orders) while preserving H.
 
     Pair pools are shared across the monomial pairs.  The bulk checks run
-    on the integer max-plus kernel: each pair is scaled once to its own
-    lcm of denominators, each map's coefficients once to theirs, and
-    both meet at the lcm of the two while the map is applied.  Any
-    apparent failure is re-verified against the reference decider
-    before being reported.
+    on the integer max-plus kernel through `images_related`: each pair is
+    scaled once to its own lcm of denominators, each map's coefficients
+    once to theirs, and both meet at the lcm of the two while the map is
+    applied.  Any apparent failure is re-verified against the reference
+    decider before being reported.
     """
     seed = _require_seed(params, "corollaries")
     sf, n = params.semifield, params.n
@@ -508,8 +524,7 @@ def _corollaries_randomized(params: SuiteParams) -> SuiteReport:
         for rel in pool_rels
     }
     scaled_pools = {
-        rel: [_tropfast.scale_grids(_tropfast.grid_of(a), _tropfast.grid_of(b)) for a, b in pool]
-        for rel, pool in pools.items()
+        rel: [_tropfast.kernel_grids(a, b, rel) for a, b in pool] for rel, pool in pools.items()
     }
     exchange_of = {
         GreenRelation.L: GreenRelation.R,
@@ -527,19 +542,13 @@ def _corollaries_randomized(params: SuiteParams) -> SuiteReport:
         q = sampling.random_monomial(rng, sf, n)
         for label, transposed in (("standard", False), ("transpose", True)):
             u = synthesize(CanonicalForm(p, q, transposed), n, sf)
-            cells, coeffs = _tropfast.map_rep(u)
-            scale_u, (icoeffs,) = _tropfast.scale_grids(coeffs)
+            smap = _tropfast.scale_map(u)
             for rel in pool_rels:
                 target = rel if label == "standard" else exchange_of[rel]
-                for pair_idx, (scale_ab, (ga, gb)) in enumerate(scaled_pools[rel]):
+                for (a, b), scaled in zip(pools[rel], scaled_pools[rel]):
                     pair_checks += 1
-                    common = lcm(scale_ab, scale_u)
-                    fc, fx = common // scale_u, common // scale_ab
-                    ta = _tropfast.apply_scaled(cells, icoeffs, ga, n, fc, fx)
-                    tb = _tropfast.apply_scaled(cells, icoeffs, gb, n, fc, fx)
-                    if _tropfast.decide(ta, tb, target):
+                    if images_related(u, smap, a, b, scaled, target):
                         continue
-                    a, b = pools[rel][pair_idx]
                     _tropfast.reverify(apply(u, a), apply(u, b), target, False)
                     witnesses.append(
                         {

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -242,6 +245,16 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: trials must be at most 10000, got 10001\n"
+
+    def test_battery_script_rejects_bad_params_before_running(self):
+        script = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_suites.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "--trials", "0"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""  # no suite of the battery ran
+        assert done.stderr == "error: trials must be at least 1, got 0\n"
 
     def test_trials_at_limit_runs(self, capsys):
         argv = ["verify", "--suite", "t1", "--n", "3", "--seed", "1", "--trials", "10000"]

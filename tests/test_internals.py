@@ -513,6 +513,121 @@ def _grids_equal(g1, g2):
     return True
 
 
+def _values(m):
+    return [[None if e.payload is MINUS_INF else e.payload for e in row] for row in m.entries]
+
+
+def _over_cap_map(canonical):
+    """A tropical 2x2 map whose coefficients all have denominator 2^8200, so
+    its own scale, and any scale it shares with a pair, passes MAX_SCALE_BITS:
+    the identity cell map with rank-one coefficients x_i + y_j, or one that
+    swaps the columns of row 1 only, with free coefficients."""
+    rng = random.Random(17)
+
+    def odd():
+        return Fraction(2 * rng.randrange(-50, 50) + 1, 2**8200)
+
+    if canonical:
+        xs, ys = (odd(), odd()), (rng.randrange(-50, 50), rng.randrange(-50, 50))
+        alpha, cells = [[x + y for y in ys] for x in xs], (0, 1, 2, 3)
+    else:
+        alpha, cells = [[odd(), odd()], [odd(), odd()]], (0, 1, 3, 2)
+    sigma = tuple(tuple(divmod(cells[i * 2 + j], 2) for j in range(2)) for i in range(2))
+    coeffs = tuple(tuple(semiring.value(T, c) for c in row) for row in alpha)
+    return lm.UnitPermutationMap(2, T, sigma, coeffs)
+
+
+class TestDecideImages:
+    """`_tropfast.decide_images`, the map application both randomized map
+    loops share, agrees with `linear_maps.apply` and `green.relate`."""
+
+    def test_images_and_verdicts_match_reference(self, monkeypatch):
+        grids = []
+        decide = _tropfast.decide
+
+        def spy(ga, gb, rel):
+            grids.append((ga, gb))
+            return decide(ga, gb, rel)
+
+        monkeypatch.setattr(_tropfast, "decide", spy)
+        rng = random.Random(41)
+        kinds = ("standard", "transpose", "noncanonical")
+        for sf, n, kind, rel in itertools.product((T, TI), (1, 2, 3), kinds, _FAST_RELS):
+            u = _seeded_map(sf, n, kind, rng.randrange(2**31))
+            smap = _tropfast.scale_map(u)
+            related = sampling.related_pair(rng, sf, n, rel)
+            other = sampling.random_matrix(rng, sf, n), sampling.random_matrix(rng, sf, n)
+            for a, b in (related, other):
+                scaled = _tropfast.kernel_grids(a, b, rel)
+                grids.clear()
+                verdict = _tropfast.decide_images(smap, scaled, rel)
+                ta, tb = lm.apply(u, a), lm.apply(u, b)
+                assert verdict == relate(ta, tb, rel), (sf, n, kind, rel)
+                common = lcm(scaled[0], smap[1])
+                ((ga, gb),) = grids
+                for grid, image in ((ga, ta), (gb, tb)):
+                    lifted = [
+                        [None if v is None else Fraction(v, common) for v in row] for row in grid
+                    ]
+                    assert lifted == _values(image), (sf, n, kind, rel)
+
+    def test_common_scale_cap_boundary(self):
+        cap = _tropfast.MAX_SCALE_BITS
+        zero, third = _matrix(T, [[0]]), _matrix(T, [[Fraction(1, 3)]])
+
+        def verdict(map_den, x):
+            alpha = ((semiring.value(T, Fraction(1, map_den)),),)
+            smap = _tropfast.scale_map(lm.UnitPermutationMap(1, T, (((0, 0),),), alpha))
+            return _tropfast.decide_images(smap, _tropfast.kernel_grids(x, x, GR.L), GR.L)
+
+        assert verdict(2 ** (cap - 1), zero) is True
+        assert verdict(2**cap, zero) is None
+        # each scale alone fits; their lcm 3 * 2^(cap - 1) does not
+        assert verdict(2 ** (cap - 2), third) is True
+        assert verdict(2 ** (cap - 1), third) is None
+
+    @pytest.mark.parametrize("sf", (T, TI))
+    def test_passing_canonical_checks_build_no_matrix_images(self, monkeypatch, sf):
+        calls = []
+        _spy(monkeypatch, lm, "apply", calls)
+        mode = lm.Randomized(seed=8, trials=15)
+        for n in (2, 3):
+            std = _seeded_map(sf, n, "standard", n)
+            tr = _seeded_map(sf, n, "transpose", n)
+            verdicts = [lm.check_preservation(std, rel, mode, strong=True) for rel in _FAST_RELS]
+            verdicts.append(lm.check_preservation(tr, GR.H, mode, strong=True))
+            verdicts += [
+                lm.check_exchange(tr, mode, strong=True, pair=pair)
+                for pair in ((GR.L, GR.R), (GR.LEQ_L, GR.LEQ_R))
+            ]
+            assert {v.outcome for v in verdicts} == {"NoCounterexampleFound"}
+        assert calls == []
+
+    @pytest.mark.parametrize("canonical", (True, False))
+    def test_over_cap_map_takes_the_matrix_fallback(self, monkeypatch, canonical):
+        u = _over_cap_map(canonical)
+        mode = lm.Randomized(seed=19, trials=10)
+
+        def check():
+            return lm.check_preservation(u, GR.H, mode, strong=True)
+
+        def reference(u, smap, a, b, scaled, rel):
+            return relate(lm.apply(u, a), lm.apply(u, b), rel)
+
+        with monkeypatch.context() as m:
+            m.setattr(lm, "images_related", reference)
+            expected = _verdict_text(check())
+        verdicts, applied = [], []
+        _spy(monkeypatch, _tropfast, "decide_images", verdicts)
+        _spy(monkeypatch, lm, "apply", applied)
+        v = check()
+        assert _verdict_text(v) == expected
+        assert (v.outcome == "NoCounterexampleFound") is canonical
+        assert verdicts and {result for _, result in verdicts} == {None}
+        # both images of every pair, and again for the counterexample
+        assert len(applied) == 2 * v.pairs_checked + (0 if canonical else 2)
+
+
 # SHA-256 of the JSON reports (as scripts/run_suites.py writes them) of the
 # seeded corollaries suite, recorded with the (num, den) cross-multiplying
 # kernel that the integer kernel replaced.

@@ -44,6 +44,24 @@ class TestSuitePlumbing:
         with pytest.raises(UnsupportedParams):
             run_suite("t1", SuiteParams(semifield=B, n=3))
 
+    @pytest.mark.parametrize(
+        "field, cap, name, base",
+        [
+            ("monomial_pairs", verify.MAX_MONOMIAL_PAIRS, "corollaries",
+             SuiteParams(semifield=T, n=2, seed=1)),
+            ("map_samples", verify.MAX_MAP_SAMPLES, "t1", SuiteParams(semifield=B, n=3, seed=1)),
+        ],
+    )
+    def test_suite_counts_are_bounded(self, field, cap, name, base):
+        # below 1 the suite would pass vacuously, with no pair checked
+        for value in (0, -3, cap + 1):
+            params = dataclasses.replace(base, **{field: value})
+            with pytest.raises(UnsupportedParams, match=f"^{field} must be at "):
+                verify.check_params(name, params)
+            with pytest.raises(UnsupportedParams, match=f"^{field} must be at "):
+                run_suite(name, params)
+        assert cap == 10 * getattr(SuiteParams(), field)
+
     def test_failing_reports_need_witnesses(self):
         with pytest.raises(ValueError):
             SuiteReport("x", "boolean", 2, "exhaustive", False, {})
