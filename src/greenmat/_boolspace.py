@@ -31,7 +31,7 @@ import itertools
 from .matrix import Matrix
 from .semiring import Semifield
 from . import semiring
-from .green import GreenRelation
+from .green import MAX_BOUNDED_N, GreenRelation
 
 
 @functools.lru_cache(maxsize=None)
@@ -50,8 +50,8 @@ def matrix_to_index(a: Matrix) -> int:
 
 class BooleanSpace:
     def __init__(self, n: int):
-        if not 1 <= n <= 3:
-            raise ValueError("exhaustive boolean workspace supports 1 <= n <= 3")
+        if not 1 <= n <= MAX_BOUNDED_N:
+            raise ValueError(f"exhaustive boolean workspace supports 1 <= n <= {MAX_BOUNDED_N}")
         self.n = n
         self.size = 1 << (n * n)
         # transposes one set bit at a time: the lowest set bit of m is

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._boolspace import space
-from .green import boolean_rank_of_columns
+from .green import MAX_BOUNDED_N, boolean_rank_of_columns
 from .matrix import Matrix, matrix_to_json
 from .semiring import UnsupportedParams
 
@@ -54,8 +54,8 @@ def _number_classes(keys: list[int]) -> list[int]:
 
 def eggbox(n: int) -> EggBox:
     """The egg-box decomposition of all n-by-n boolean matrices, n <= 3."""
-    if not 1 <= n <= 3:
-        raise UnsupportedParams("egg-box decomposition is available for 1 <= n <= 3")
+    if not 1 <= n <= MAX_BOUNDED_N:
+        raise UnsupportedParams(f"egg-box decomposition is available for 1 <= n <= {MAX_BOUNDED_N}")
     sp = space(n)
     l_of = _number_classes(sp.row_keys)  # a L b iff Row(a) = Row(b)
     r_of = _number_classes(sp.col_keys)  # a R b iff Col(a) = Col(b)

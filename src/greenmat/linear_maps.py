@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from . import semiring
 from .green import (
-    BOUNDED_SEARCH,
+    MAX_BOUNDED_N,
     GreenRelation,
     decidable_over,
     factor_rank,
@@ -40,6 +40,8 @@ from .matrix import (
     matrix_from_json,
     matrix_to_json,
     mat_add,
+    monomial_from_json,
+    monomial_to_json,
     require_size,
     scalar_mul,
     zero_matrix,
@@ -356,10 +358,10 @@ def _cell_map(u: UnitPermutationMap) -> tuple[int, ...]:
 def _exhaustive_pre(u: UnitPermutationMap, rels) -> None:
     if u.semifield is not Semifield.BOOLEAN:
         raise UnsupportedMode("exhaustive checks require the boolean semifield")
-    limit = 2 if any(r in BOUNDED_SEARCH for r in rels) else 3
-    if u.n > limit:
+    if u.n > MAX_BOUNDED_N:
         raise UnsupportedMode(
-            f"exhaustive check of {'/'.join(r.value for r in rels)} is limited to n <= {limit}"
+            f"exhaustive check of {'/'.join(r.value for r in rels)} "
+            f"is limited to n <= {MAX_BOUNDED_N}"
         )
 
 
@@ -670,8 +672,6 @@ def linear_map_from_json(obj) -> LinearMap:
 
 
 def canonical_form_to_json(c: CanonicalForm) -> dict:
-    from .matrix import monomial_to_json
-
     return {
         "p": monomial_to_json(c.p),
         "q": monomial_to_json(c.q),
@@ -680,8 +680,6 @@ def canonical_form_to_json(c: CanonicalForm) -> dict:
 
 
 def canonical_form_from_json(semifield: Semifield, obj) -> CanonicalForm:
-    from .matrix import monomial_from_json
-
     if not isinstance(obj, dict) or set(obj) != _FORM_KEYS:
         raise ParseError(f"canonical form object must have exactly the keys {sorted(_FORM_KEYS)}")
     if not isinstance(obj["transposed"], bool):

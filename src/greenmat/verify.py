@@ -2,8 +2,11 @@
 
 Each suite checks one cluster of statements at desk scale: exhaustively
 over the boolean semifield for small n, by seeded randomized testing
-over the tropical carriers, or as a fixed regression.  Suites return a
-SuiteReport whose JSON form is byte-stable for fixed parameters.
+over the tropical carriers, or as a fixed regression.  Which of these
+runs for a request is read from one table, `_SUITES`, that lists each
+suite's modes with their carriers, sizes and seed needs; `check_params`
+selects the mode and `run_suite` wraps its result in a SuiteReport whose
+JSON form is byte-stable for fixed parameters.
 """
 
 from __future__ import annotations
@@ -12,37 +15,30 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import factorial
+from typing import Callable
 
 from . import _tropfast, sampling, semiring
 from ._boolspace import act_on_bits, all_cell_maps, first_violation, space
-from .green import GreenRelation, factor_rank
+from .green import MAX_BOUNDED_N, GreenRelation, factor_rank
 from .linear_maps import (
     CanonicalForm,
     Exhaustive,
     ExhaustiveBoolean,
+    LinearMap,
+    NotBijective,
     RandomizedTropical,
     UnitPermutationMap,
     apply,
     cell_shape,
     check_exchange,
     check_preservation,
+    extract_unit_form,
     find_sticky,
     images_related,
+    synthesize,
 )
-from .matrix import matrix_to_json, monomial_to_json
+from .matrix import NotMonomial, matrix_to_json, monomial_to_json, try_monomial
 from .semiring import Semifield, UnsupportedParams
-
-SUITE_NAMES = (
-    "t1",
-    "t2",
-    "corollaries",
-    "h_theorem",
-    "lemma_bg",
-    "invertibles",
-    "rank_j_monotone",
-    "remark_2_6_regression",
-)
-
 
 #: Largest n the suites accept over a tropical carrier.  The randomized
 #: corollaries run grows with n: at n = 8 and the default 1000 trials it
@@ -107,12 +103,24 @@ class SuiteReport:
         }
 
 
-def check_params(name: str, params: SuiteParams) -> None:
-    """Raise UnknownSuite or UnsupportedParams unless ``run_suite(name,
-    params)`` may start: the checks that hold for every suite, before any
-    work is done."""
+@dataclass(frozen=True)
+class _Mode:
+    """One way a suite runs: ``run(params)`` returns (passed, counts,
+    witnesses) for a carrier in ``carrier`` and an n in ``sizes``; a
+    seeded mode needs params.seed and reports it with the generator."""
+
+    run: Callable[[SuiteParams], tuple]
+    label: str
+    carrier: tuple[Semifield, ...]
+    sizes: range
+    seeded: bool
+
+
+def check_params(name: str, params: SuiteParams) -> _Mode:
+    """Return the mode ``run_suite(name, params)`` runs, or raise
+    UnknownSuite or UnsupportedParams before any work is done."""
     if name not in _SUITES:
-        raise UnknownSuite(f"no suite named {name!r}; choose from {', '.join(SUITE_NAMES)}")
+        raise UnknownSuite(f"no suite named {name!r}; choose from {', '.join(_SUITES)}")
     if params.n < 1:
         raise UnsupportedParams(f"n must be at least 1, got {params.n}")
     for field, cap in (
@@ -130,28 +138,36 @@ def check_params(name: str, params: SuiteParams) -> None:
             f"suites over a tropical carrier are limited to n <= {MAX_TROPICAL_N}, "
             f"got {params.n}"
         )
+    sf, n = params.semifield, params.n
+    fits = [mode for mode in _SUITES[name] if sf in mode.carrier]
+    if not fits:
+        carriers = "/".join(dict.fromkeys(c.value for m in _SUITES[name] for c in m.carrier))
+        raise UnsupportedParams(f"suite {name} runs over {carriers} only, got {sf.value}")
+    for mode in fits:
+        if n in mode.sizes:
+            if mode.seeded and params.seed is None:
+                raise UnsupportedParams(
+                    f"suite {name} is {mode.label} over {sf.value} at n = {n} "
+                    "and needs an explicit seed"
+                )
+            return mode
+    # n >= 1 here, and every mode's sizes start at 1 or are a single n
+    sizes = sorted(k for mode in fits for k in mode.sizes)
+    need = f"be {sizes[0]}" if len(sizes) == 1 else f"be at most {sizes[-1]}"
+    raise UnsupportedParams(f"suite {name} over {sf.value}: n must {need}, got {n}")
 
 
 def run_suite(name: str, params: SuiteParams) -> SuiteReport:
-    check_params(name, params)
-    return _SUITES[name](params)
+    mode = check_params(name, params)
+    passed, counts, witnesses = mode.run(params)
+    seed, generator = (params.seed, sampling.GENERATOR_NAME) if mode.seeded else (None, None)
+    return SuiteReport(
+        name, params.semifield.value, params.n, mode.label, passed, counts,
+        tuple(witnesses), seed, generator,
+    )
 
 
 # --- shared helpers --------------------------------------------------------
-
-
-def _require_boolean(params: SuiteParams, suite: str) -> None:
-    if params.semifield is not Semifield.BOOLEAN:
-        raise UnsupportedParams(
-            f"suite {suite} enumerates all bijective maps and is boolean-only; "
-            "use corollaries/h_theorem for randomized tropical checking"
-        )
-
-
-def _require_seed(params: SuiteParams, suite: str) -> int:
-    if params.seed is None:
-        raise UnsupportedParams(f"suite {suite} is randomized here and needs an explicit seed")
-    return params.seed
 
 
 def _unit_map_from_cells(cells: tuple[int, ...], n: int) -> UnitPermutationMap:
@@ -201,16 +217,7 @@ def _membership_witnesses(preservers, reference: set, label: str) -> list[dict]:
 # --- t1: L/R/leqL/leqR preservers are exactly the maps X -> PXQ -------------
 
 
-def _suite_t1(params: SuiteParams) -> SuiteReport:
-    _require_boolean(params, "t1")
-    if params.n <= 2:
-        return _t1_exhaustive(params)
-    if params.n == 3:
-        return _t1_sampled(params)
-    raise UnsupportedParams("t1 runs exhaustively for n <= 2 and sampled at n = 3")
-
-
-def _t1_exhaustive(params: SuiteParams) -> SuiteReport:
+def _t1_exhaustive(params: SuiteParams):
     n = params.n
     rels = (GreenRelation.L, GreenRelation.R, GreenRelation.LEQ_L, GreenRelation.LEQ_R)
     shapes, preservers, pairs = _preserver_sets(n, rels)
@@ -225,9 +232,7 @@ def _t1_exhaustive(params: SuiteParams) -> SuiteReport:
         "canonical_standard": len(standard_maps),
         "pairs_checked": pairs,
     }
-    return SuiteReport(
-        "t1", params.semifield.value, n, "exhaustive", not witnesses, counts, tuple(witnesses)
-    )
+    return not witnesses, counts, witnesses
 
 
 def _permutation_matrix_bits(perm: tuple[int, ...], n: int) -> int:
@@ -317,9 +322,8 @@ def _random_related_bits(rng: random.Random, sp, rel: GreenRelation, perm_bits: 
     raise ValueError(rel)
 
 
-def _t1_sampled(params: SuiteParams) -> SuiteReport:
+def _t1_sampled(params: SuiteParams):
     """Scaling check at n = 3: classify everything, spot-check preservation."""
-    seed = _require_seed(params, "t1")
     n = params.n
     sp = space(n)
     class_counts = {"standard": 0, "transpose": 0, "non_canonical": 0}
@@ -331,7 +335,7 @@ def _t1_sampled(params: SuiteParams) -> SuiteReport:
     perm_bits = [
         _permutation_matrix_bits(p, n) for p in itertools.permutations(range(n))
     ]
-    rng = random.Random(seed)
+    rng = random.Random(params.seed)
     pools: dict[GreenRelation, list[tuple[int, int]]] = {}
     for rel in rels:
         pool = _probe_pairs(sp, rel)
@@ -386,21 +390,13 @@ def _t1_sampled(params: SuiteParams) -> SuiteReport:
         "pair_checks": pair_checks,
         "discrepancies": len(discrepancies),
     }
-    return SuiteReport(
-        "t1", params.semifield.value, n, "sampled", passed, counts,
-        tuple(discrepancies), seed, sampling.GENERATOR_NAME,
-    )
+    return passed, counts, discrepancies
 
 
 # --- t2: D/J/leqJ preservers are exactly the canonical maps -----------------
 
 
-def _suite_t2(params: SuiteParams) -> SuiteReport:
-    _require_boolean(params, "t2")
-    if params.n > 2:
-        raise UnsupportedParams(
-            "t2 needs full D/J/leqJ tables and is out of reach beyond n = 2"
-        )
+def _t2_exhaustive(params: SuiteParams):
     n = params.n
     rels = (GreenRelation.D, GreenRelation.J, GreenRelation.LEQ_J)
     shapes, preservers, pairs = _preserver_sets(n, rels)
@@ -417,9 +413,7 @@ def _suite_t2(params: SuiteParams) -> SuiteReport:
         "canonical_transpose": shape_counts.count("transpose"),
         "pairs_checked": pairs,
     }
-    return SuiteReport(
-        "t2", params.semifield.value, n, "exhaustive", not witnesses, counts, tuple(witnesses)
-    )
+    return not witnesses, counts, witnesses
 
 
 # --- corollaries: strong preservation / exchange of the canonical maps ------
@@ -443,15 +437,7 @@ _EXCHANGED_TRANSPOSE = (
 )
 
 
-def _suite_corollaries(params: SuiteParams) -> SuiteReport:
-    if params.semifield is Semifield.BOOLEAN:
-        return _corollaries_exhaustive(params)
-    return _corollaries_randomized(params)
-
-
-def _corollaries_exhaustive(params: SuiteParams) -> SuiteReport:
-    if params.n > 2:
-        raise UnsupportedParams("exhaustive corollaries stop at n = 2 (bounded D/J/leqJ)")
+def _corollaries_exhaustive(params: SuiteParams):
     n = params.n
     canonical_maps = []
     for cells in all_cell_maps(n):
@@ -491,13 +477,10 @@ def _corollaries_exhaustive(params: SuiteParams) -> SuiteReport:
         "pairs_checked": pairs,
         "failures": len(witnesses),
     }
-    return SuiteReport(
-        "corollaries", params.semifield.value, n, "exhaustive",
-        not witnesses, counts, tuple(witnesses),
-    )
+    return not witnesses, counts, witnesses
 
 
-def _corollaries_randomized(params: SuiteParams) -> SuiteReport:
+def _corollaries_randomized(params: SuiteParams):
     """Seeded check that X -> PXQ preserves L/R/leqL/leqR/H and X -> PX^TQ
     exchanges L with R (and the pre-orders) while preserving H.
 
@@ -508,9 +491,8 @@ def _corollaries_randomized(params: SuiteParams) -> SuiteReport:
     applied.  Any apparent failure is re-verified against the reference
     decider before being reported.
     """
-    seed = _require_seed(params, "corollaries")
     sf, n = params.semifield, params.n
-    rng = random.Random(seed)
+    rng = random.Random(params.seed)
     pool_rels = (
         GreenRelation.L,
         GreenRelation.R,
@@ -535,8 +517,6 @@ def _corollaries_randomized(params: SuiteParams) -> SuiteReport:
     }
     witnesses = []
     pair_checks = 0
-    from .linear_maps import synthesize
-
     for idx in range(params.monomial_pairs):
         p = sampling.random_monomial(rng, sf, n)
         q = sampling.random_monomial(rng, sf, n)
@@ -568,43 +548,34 @@ def _corollaries_randomized(params: SuiteParams) -> SuiteReport:
         "pair_checks": pair_checks,
         "failures": len(witnesses),
     }
-    return SuiteReport(
-        "corollaries", sf.value, n, "randomized", not witnesses, counts,
-        tuple(witnesses), seed, sampling.GENERATOR_NAME,
-    )
+    return not witnesses, counts, witnesses
 
 
 # --- h_theorem: H-preservers coincide with D-preservers; no sticky matrix ---
 
 
-def _suite_h_theorem(params: SuiteParams) -> SuiteReport:
-    if params.semifield is Semifield.BOOLEAN:
-        if params.n > 2:
-            raise UnsupportedParams("exhaustive h_theorem stops at n = 2")
-        n = params.n
-        shapes, preservers, _ = _preserver_sets(n, (GreenRelation.H, GreenRelation.D))
-        canonical = {cells for cells, shape in shapes.items() if shape is not None}
-        witnesses = _membership_witnesses(preservers, canonical, "canonical")
-        sticky = find_sticky(Semifield.BOOLEAN, ExhaustiveBoolean())
-        if sticky.survivor is not None:
-            witnesses.append({"sticky_survivor": matrix_to_json(sticky.survivor)})
-        counts = {
-            "maps_enumerated": len(shapes),
-            "h_preservers": len(preservers[GreenRelation.H]),
-            "d_preservers": len(preservers[GreenRelation.D]),
-            "canonical_total": len(canonical),
-            "sticky_candidates": sticky.candidates,
-            "sticky_refuted_s2": sum(1 for r in sticky.refutations if r.failed == "S2"),
-        }
-        return SuiteReport(
-            "h_theorem", params.semifield.value, n, "exhaustive", not witnesses, counts,
-            tuple(witnesses),
-        )
-    if params.n != 2:
-        raise UnsupportedParams("the tropical h_theorem searches 2x2 matrices; n must be 2")
-    seed = _require_seed(params, "h_theorem")
+def _h_theorem_exhaustive(params: SuiteParams):
+    shapes, preservers, _ = _preserver_sets(params.n, (GreenRelation.H, GreenRelation.D))
+    canonical = {cells for cells, shape in shapes.items() if shape is not None}
+    witnesses = _membership_witnesses(preservers, canonical, "canonical")
+    sticky = find_sticky(Semifield.BOOLEAN, ExhaustiveBoolean())
+    if sticky.survivor is not None:
+        witnesses.append({"sticky_survivor": matrix_to_json(sticky.survivor)})
+    counts = {
+        "maps_enumerated": len(shapes),
+        "h_preservers": len(preservers[GreenRelation.H]),
+        "d_preservers": len(preservers[GreenRelation.D]),
+        "canonical_total": len(canonical),
+        "sticky_candidates": sticky.candidates,
+        "sticky_refuted_s2": sum(1 for r in sticky.refutations if r.failed == "S2"),
+    }
+    return not witnesses, counts, witnesses
+
+
+def _h_theorem_randomized(params: SuiteParams):
+    """The sticky search over 2x2 tropical matrices."""
     report = find_sticky(
-        params.semifield, RandomizedTropical(seed=seed, trials=params.trials)
+        params.semifield, RandomizedTropical(seed=params.seed, trials=params.trials)
     )
     refuted_at_root = sum(
         1 for r in report.refutations if r.failed == "S3" and r.k_is_square_root_witness
@@ -619,19 +590,13 @@ def _suite_h_theorem(params: SuiteParams) -> SuiteReport:
         "refuted_at_sqrt_witness": refuted_at_root,
         "survivors": 0 if report.survivor is None else 1,
     }
-    return SuiteReport(
-        "h_theorem", params.semifield.value, params.n, "randomized", passed, counts,
-        witnesses, seed, sampling.GENERATOR_NAME,
-    )
+    return passed, counts, witnesses
 
 
 # --- lemma_bg: bijective iff unit-permutation shaped -------------------------
 
 
-def _suite_lemma_bg(params: SuiteParams) -> SuiteReport:
-    _require_boolean(params, "lemma_bg")
-    if params.n > 2:
-        raise UnsupportedParams("lemma_bg enumerates image tables and stops at n = 2")
+def _lemma_bg(params: SuiteParams):
     n = params.n
     cells = n * n
     # candidate images: all matrices with at most two nonzero entries
@@ -645,8 +610,6 @@ def _suite_lemma_bg(params: SuiteParams) -> SuiteReport:
     bijective = 0
     mismatches = []
     cross_checked = 0
-    from .linear_maps import LinearMap, NotBijective, extract_unit_form
-
     sp = space(n)
     for combo in itertools.product(masks, repeat=cells):
         maps += 1
@@ -693,19 +656,13 @@ def _suite_lemma_bg(params: SuiteParams) -> SuiteReport:
         "cross_checked": cross_checked,
         "mismatches": len(mismatches),
     }
-    return SuiteReport(
-        "lemma_bg", params.semifield.value, n, "exhaustive", passed, counts,
-        tuple(mismatches),
-    )
+    return passed, counts, mismatches
 
 
 # --- invertibles: invertible = monomial ---------------------------------------
 
 
-def _suite_invertibles(params: SuiteParams) -> SuiteReport:
-    _require_boolean(params, "invertibles")
-    if params.n > 3:
-        raise UnsupportedParams("exhaustive invertibles search stops at n = 3")
+def _invertibles(params: SuiteParams):
     n = params.n
     sp = space(n)
     ident = sp.identity
@@ -715,8 +672,6 @@ def _suite_invertibles(params: SuiteParams) -> SuiteReport:
             if sp.mul(a, b) == ident and sp.mul(b, a) == ident:
                 invertible.add(a)
                 break
-    from .matrix import NotMonomial, try_monomial
-
     monomial = set()
     for a in range(sp.size):
         try:
@@ -742,21 +697,14 @@ def _suite_invertibles(params: SuiteParams) -> SuiteReport:
         "invertible": len(invertible),
         "monomial_accepted": len(monomial),
     }
-    return SuiteReport(
-        "invertibles", params.semifield.value, n, "exhaustive", passed, counts,
-        tuple(witnesses),
-    )
+    return passed, counts, witnesses
 
 
 # --- rank_j_monotone: leqJ implies rank does not increase --------------------
 
 
-def _suite_rank_j_monotone(params: SuiteParams) -> SuiteReport:
-    _require_boolean(params, "rank_j_monotone")
-    if params.n > 2:
-        raise UnsupportedParams("rank_j_monotone needs the full leqJ table; n <= 2 only")
-    n = params.n
-    sp = space(n)
+def _rank_j_monotone(params: SuiteParams):
+    sp = space(params.n)
     ranks = [factor_rank(sp.matrix_of(m)).value for m in range(sp.size)]
     leqj = sp.table(GreenRelation.LEQ_J)
     witnesses = []
@@ -793,21 +741,16 @@ def _suite_rank_j_monotone(params: SuiteParams) -> SuiteReport:
         "violations": len(witnesses),
         "class_invariance_checks": invariance_checks,
     }
-    return SuiteReport(
-        "rank_j_monotone", params.semifield.value, n, "exhaustive",
-        not witnesses, counts, tuple(witnesses),
-    )
+    return not witnesses, counts, witnesses
 
 
 # --- remark_2_6_regression: rank equality does not force R over naturals -----
 
 
-def _suite_remark_regression(params: SuiteParams) -> SuiteReport:
+def _remark_regression(params: SuiteParams):
     """Fixed witness over the naturals: A = 2*E11 and B = E11 satisfy
     A leqR B with equal factor rank, yet A R B fails since 2t = 1 has no
-    solution.  Checked with plain integer arithmetic."""
-    if params.n != 2:
-        raise UnsupportedParams("remark_2_6_regression is a fixed 2x2 witness; n must be 2")
+    solution.  Checked with plain integer arithmetic, whatever the carrier."""
     bound = 1000
 
     def matmul(x, y):
@@ -841,19 +784,38 @@ def _suite_remark_regression(params: SuiteParams) -> SuiteReport:
         "candidate_entries_checked": bound,
         "violations": 0 if passed else 1,
     }
-    return SuiteReport(
-        "remark_2_6_regression", params.semifield.value, params.n, "fixed",
-        passed, counts, witnesses,
-    )
+    return passed, counts, witnesses
 
 
-_SUITES = {
-    "t1": _suite_t1,
-    "t2": _suite_t2,
-    "corollaries": _suite_corollaries,
-    "h_theorem": _suite_h_theorem,
-    "lemma_bg": _suite_lemma_bg,
-    "invertibles": _suite_invertibles,
-    "rank_j_monotone": _suite_rank_j_monotone,
-    "remark_2_6_regression": _suite_remark_regression,
+# --- the suites and their modes ---------------------------------------------
+
+_BOOLEAN = (Semifield.BOOLEAN,)
+_TROPICAL = (Semifield.TROPICAL, Semifield.TROPICAL_INT)
+#: Sizes of the exhaustive boolean suites that scan every map: the
+#: (n^2)! cell maps (9! at n = 3) or the image tables of lemma_bg.
+_DESK = range(1, 3)
+
+_SUITES: dict[str, tuple[_Mode, ...]] = {
+    "t1": (
+        _Mode(_t1_exhaustive, "exhaustive", _BOOLEAN, _DESK, False),
+        _Mode(_t1_sampled, "sampled", _BOOLEAN, range(3, 4), True),
+    ),
+    "t2": (_Mode(_t2_exhaustive, "exhaustive", _BOOLEAN, _DESK, False),),
+    "corollaries": (
+        _Mode(_corollaries_exhaustive, "exhaustive", _BOOLEAN, _DESK, False),
+        _Mode(_corollaries_randomized, "randomized", _TROPICAL,
+              range(1, MAX_TROPICAL_N + 1), True),
+    ),
+    "h_theorem": (
+        _Mode(_h_theorem_exhaustive, "exhaustive", _BOOLEAN, _DESK, False),
+        _Mode(_h_theorem_randomized, "randomized", _TROPICAL, range(2, 3), True),
+    ),
+    "lemma_bg": (_Mode(_lemma_bg, "exhaustive", _BOOLEAN, _DESK, False),),
+    "invertibles": (
+        _Mode(_invertibles, "exhaustive", _BOOLEAN, range(1, MAX_BOUNDED_N + 1), False),
+    ),
+    "rank_j_monotone": (_Mode(_rank_j_monotone, "exhaustive", _BOOLEAN, _DESK, False),),
+    "remark_2_6_regression": (
+        _Mode(_remark_regression, "fixed", tuple(Semifield), range(2, 3), False),
+    ),
 }

@@ -293,9 +293,20 @@ class TestPreservation:
         with pytest.raises(UnsupportedMode):
             check_preservation(identity_map(2, T), GR.L, Exhaustive())
         with pytest.raises(UnsupportedMode):
-            check_preservation(identity_map(3, B), GR.D, Exhaustive())
+            check_preservation(identity_map(4, B), GR.D, Exhaustive())
         with pytest.raises(UnsupportedMode):
             check_preservation(identity_map(2, T), GR.D, Randomized(seed=1, trials=10))
+
+    @pytest.mark.parametrize("rel", [GR.D, GR.J, GR.LEQ_J])
+    def test_exhaustive_n3_bounded_relations(self, rel):
+        """D, J and leqJ are checked over all 512x512 pairs at n=3, like the rest."""
+        v = check_preservation(transposition_map(3, B), rel, Exhaustive(), strong=True)
+        assert v.outcome == "Preserved" and v.pairs_checked == 512 * 512
+        u = unit_map_from_cells((0, 4, 8, 5, 6, 1, 7, 2, 3), 3)  # non-canonical
+        v2 = check_preservation(u, rel, Exhaustive(), strong=True)
+        assert v2.outcome == "Counterexample"
+        cx = v2.counterexample
+        assert relate(cx.a, cx.b, rel) != relate(cx.image_a, cx.image_b, rel)
 
     def test_exhaustive_n3_l_preservation(self):
         """The full 512x512 pair sweep at n=3 works for the unbounded relations."""

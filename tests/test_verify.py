@@ -62,6 +62,43 @@ class TestSuitePlumbing:
                 run_suite(name, params)
         assert cap == 10 * getattr(SuiteParams(), field)
 
+    def test_check_params_admits_only_what_runs(self):
+        # every request check_params accepts runs without UnsupportedParams,
+        # so run_suites.py, which checks every run first, starts no bad one
+        accepted = 0
+        for name in verify._SUITES:
+            for sf in Semifield:
+                for n in range(1, 10):
+                    for seed in (None, 1):
+                        params = SuiteParams(semifield=sf, n=n, seed=seed, trials=1,
+                                             monomial_pairs=1, map_samples=1)
+                        try:
+                            mode = verify.check_params(name, params)
+                        except UnsupportedParams:
+                            continue
+                        report = run_suite(name, params)
+                        assert report.mode == mode.label
+                        assert report.seed == (seed if mode.seeded else None)
+                        accepted += 1
+        assert accepted == 55
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("t2", SuiteParams(semifield=B, n=3)),
+            ("t1", SuiteParams(semifield=T, n=2, seed=1)),
+            ("t1", SuiteParams(semifield=B, n=3)),
+            ("corollaries", SuiteParams(semifield=B, n=3)),
+            ("invertibles", SuiteParams(semifield=B, n=4)),
+            ("h_theorem", SuiteParams(semifield=T, n=3, seed=1)),
+            ("remark_2_6_regression", SuiteParams(n=1)),
+        ],
+    )
+    def test_out_of_domain_requests_fail_in_check_params(self, name, params):
+        with pytest.raises(UnsupportedParams) as exc:
+            verify.check_params(name, params)
+        assert "\n" not in str(exc.value)
+
     def test_failing_reports_need_witnesses(self):
         with pytest.raises(ValueError):
             SuiteReport("x", "boolean", 2, "exhaustive", False, {})
