@@ -1,5 +1,10 @@
 #!/usr/bin/env python3
-"""Emit egg-box diagrams of the boolean matrix monoids M_n(B), n <= 3."""
+"""Emit egg-box diagrams of the boolean matrix monoids M_n(B), n <= 3.
+
+Every requested n is decomposed, and --out-dir made, before anything is
+printed; an n out of range or an --out-dir that cannot be made ends the
+script with one ``error:`` line on stderr and exit code 2.
+"""
 
 import argparse
 import json
@@ -9,9 +14,10 @@ import sys
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from greenmat.eggbox import eggbox, eggbox_to_dot, eggbox_to_json
+from greenmat.semiring import UnsupportedParams
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--format", default="dot", choices=["dot", "json"])
@@ -19,10 +25,16 @@ def main() -> int:
         "--out-dir", type=pathlib.Path, default=None,
         help="write files instead of printing to stdout",
     )
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    for n in args.n:
-        box = eggbox(n)
+    try:
+        boxes = [eggbox(n) for n in args.n]
+        if args.out_dir is not None:
+            args.out_dir.mkdir(parents=True, exist_ok=True)
+    except (UnsupportedParams, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for n, box in zip(args.n, boxes):
         text = (
             eggbox_to_dot(box)
             if args.format == "dot"
@@ -37,7 +49,6 @@ def main() -> int:
             print(text, end="")
             print(f"// {summary}" if args.format == "dot" else f"# {summary}")
         else:
-            args.out_dir.mkdir(parents=True, exist_ok=True)
             path = args.out_dir / f"eggbox_n{n}.{args.format}"
             path.write_text(text)
             print(f"{path}: {summary}")

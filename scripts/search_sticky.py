@@ -4,7 +4,8 @@ A_k H-related to B_k for every tested invertible k).
 
 None is expected to exist; the interesting output is how each sampled
 candidate gets refuted, and in particular that over the rationals the
-square-root witness always does it.
+square-root witness always does it.  A bad --trials ends the script with
+one ``error:`` line on stderr and exit code 2.
 """
 
 import argparse
@@ -19,7 +20,7 @@ from greenmat.matrix import matrix_to_json
 from greenmat.semiring import Semifield, format_value
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--semifield", default="tropical",
@@ -27,17 +28,19 @@ def main() -> int:
     )
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--trials", type=int, default=1000)
-    parser.add_argument("--k-samples", type=int, default=8)
     parser.add_argument("--show", type=int, default=3, help="refutations to print in full")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     sf = Semifield(args.semifield)
-    if sf is Semifield.BOOLEAN:
-        report = find_sticky(sf, ExhaustiveBoolean())
-    else:
-        report = find_sticky(
-            sf, RandomizedTropical(seed=args.seed, trials=args.trials, k_samples=args.k_samples)
+    try:
+        mode = (
+            ExhaustiveBoolean() if sf is Semifield.BOOLEAN
+            else RandomizedTropical(seed=args.seed, trials=args.trials)
         )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    report = find_sticky(sf, mode)
     print(f"semifield: {report.semifield}   mode: {report.mode}   seed: {report.seed}")
     print(f"candidates examined: {report.candidates}")
     by_kind = collections.Counter(

@@ -224,6 +224,20 @@ def cell_shape(cells, n: int) -> str | None:
     return "transpose" if flip else "standard"
 
 
+_G = GreenRelation
+
+#: The classification, keyed by `cell_shape`: a canonical map of each shape
+#: carries each relation (the key) to the relation it names.  X -> PXQ
+#: preserves every relation; X -> P X^T Q exchanges L with R and leqL with
+#: leqR and preserves H, D, J and leqJ.  A map of no shape preserves none.
+IMAGE_RELATION: dict[str, dict[GreenRelation, GreenRelation]] = {
+    "standard": {_G.L: _G.L, _G.R: _G.R, _G.LEQ_L: _G.LEQ_L, _G.LEQ_R: _G.LEQ_R,
+                 _G.H: _G.H, _G.D: _G.D, _G.J: _G.J, _G.LEQ_J: _G.LEQ_J},
+    "transpose": {_G.L: _G.R, _G.R: _G.L, _G.LEQ_L: _G.LEQ_R, _G.LEQ_R: _G.LEQ_L,
+                  _G.H: _G.H, _G.D: _G.D, _G.J: _G.J, _G.LEQ_J: _G.LEQ_J},
+}
+
+
 def classify(u: UnitPermutationMap) -> ClassifyOutcome:
     """Decide whether u is X -> PXQ or X -> P X^T Q and build P, Q.
 
@@ -312,10 +326,18 @@ class Exhaustive:
     pass
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 @dataclass(frozen=True)
 class Randomized:
     seed: int
     trials: int = 1000
+
+    def __post_init__(self):
+        _require_trials(self.trials)
 
 
 Mode = Exhaustive | Randomized
@@ -516,11 +538,18 @@ class ExhaustiveBoolean:
     pass
 
 
+#: Random invertible k the randomized search tests per candidate, after
+#: the square-root witness when there is one.
+STICKY_K_SAMPLES = 8
+
+
 @dataclass(frozen=True)
 class RandomizedTropical:
     seed: int
     trials: int = 1000
-    k_samples: int = 8
+
+    def __post_init__(self):
+        _require_trials(self.trials)
 
 
 @dataclass(frozen=True)
@@ -556,9 +585,12 @@ def _sticky_pair(m: Matrix, k: SemifieldValue) -> tuple[Matrix, Matrix]:
 
 
 def _refute_candidate(
-    m: Matrix, ks: list[tuple[SemifieldValue, bool]]
+    m: Matrix, ks: list[tuple[SemifieldValue, bool]] | None
 ) -> StickyRefutation | None:
-    """First k among ks with A_k and B_k not H-related, or None if all survive."""
+    """The refutation of m: S2 when ks is None (factor rank below 2), else
+    the first k among ks with A_k and B_k not H-related; None if all survive."""
+    if ks is None:
+        return StickyRefutation(m, "S2", None, False)
     for k, is_witness in ks:
         ak, bk = _sticky_pair(m, k)
         if not _tropfast.decide_matrices(ak, bk, GreenRelation.H):
@@ -576,64 +608,50 @@ def find_sticky(semifield: Semifield, mode) -> StickyReport:
     if isinstance(mode, ExhaustiveBoolean):
         if semifield is not Semifield.BOOLEAN:
             raise UnsupportedMode("exhaustive sticky search is boolean-only")
-        refutations = []
-        candidates = 0
-        one_v = semiring.one(semifield)
-        for m in _full_support_boolean_2x2():
-            candidates += 1
-            if factor_rank(m).value != 2:
-                refutations.append(StickyRefutation(m, "S2", None, False))
-                continue
-            refutation = _refute_candidate(m, [(one_v, False)])
-            if refutation is None:
-                return StickyReport(
-                    semifield.value, "exhaustive", candidates, tuple(refutations), m
-                )
-            refutations.append(refutation)
-        return StickyReport(
-            semifield.value, "exhaustive", candidates, tuple(refutations), None
-        )
-    if isinstance(mode, RandomizedTropical):
+        label, seed, generator = "exhaustive", None, None
+        one_v = semiring.one(semifield)  # all ones: the only full-support candidate
+        m = Matrix(semifield, 2, 2, ((one_v, one_v), (one_v, one_v)))
+        stream = [(m, None if factor_rank(m).value != 2 else [(one_v, False)])]
+    elif isinstance(mode, RandomizedTropical):
         if not semifield.is_tropical:
             raise UnsupportedMode("randomized sticky search needs a tropical carrier")
-        rng = random.Random(mode.seed)
-        refutations = []
-        candidates = 0
-        while candidates < mode.trials:
-            entries = [sampling.random_nonzero_scalar(rng, semifield) for _ in range(4)]
-            a, b, c, d = entries
-            if semiring.mul(a, d) == semiring.mul(b, c):
-                continue  # factor rank 1, fails S2; only rank-2 candidates count
-            candidates += 1
-            m = Matrix(semifield, 2, 2, ((a, b), (c, d)))
-            ratio = semiring.mul(
-                semiring.mul(b, c), semiring.inv(semiring.mul(a, d))
-            )
-            root = semiring.try_sqrt(ratio)
-            ks: list[tuple[SemifieldValue, bool]] = []
-            if root is not None:
-                ks.append((root, True))
-            ks.extend(
-                (sampling.random_nonzero_scalar(rng, semifield), False)
-                for _ in range(mode.k_samples)
-            )
-            refutation = _refute_candidate(m, ks)
-            if refutation is None:
-                return StickyReport(
-                    semifield.value, "randomized", candidates, tuple(refutations), m,
-                    mode.seed, sampling.GENERATOR_NAME,
-                )
-            refutations.append(refutation)
-        return StickyReport(
-            semifield.value, "randomized", candidates, tuple(refutations), None,
-            mode.seed, sampling.GENERATOR_NAME,
+        label, seed, generator = "randomized", mode.seed, sampling.GENERATOR_NAME
+        stream = _random_sticky_candidates(random.Random(mode.seed), semifield, mode.trials)
+    else:
+        raise UnsupportedMode(f"unknown sticky search mode {mode!r}")
+    refutations = []
+    candidates = 0
+    survivor = None
+    for m, ks in stream:
+        candidates += 1
+        refutation = _refute_candidate(m, ks)
+        if refutation is None:
+            survivor = m
+            break
+        refutations.append(refutation)
+    return StickyReport(
+        semifield.value, label, candidates, tuple(refutations), survivor, seed, generator
+    )
+
+
+def _random_sticky_candidates(rng: random.Random, semifield: Semifield, trials: int):
+    """``trials`` seeded 2x2 matrices of invertible entries and factor rank 2,
+    each with its k list: the square root of bc/(ad) when it exists, then
+    STICKY_K_SAMPLES random invertible k."""
+    for _ in range(trials):
+        while True:
+            a, b, c, d = (sampling.random_nonzero_scalar(rng, semifield) for _ in range(4))
+            if semiring.mul(a, d) != semiring.mul(b, c):
+                break  # factor rank 1 fails S2; only rank-2 candidates count
+        root = semiring.try_sqrt(
+            semiring.mul(semiring.mul(b, c), semiring.inv(semiring.mul(a, d)))
         )
-    raise UnsupportedMode(f"unknown sticky search mode {mode!r}")
-
-
-def _full_support_boolean_2x2():
-    one_v = semiring.one(Semifield.BOOLEAN)
-    yield Matrix(Semifield.BOOLEAN, 2, 2, ((one_v, one_v), (one_v, one_v)))
+        ks = [] if root is None else [(root, True)]
+        ks.extend(
+            (sampling.random_nonzero_scalar(rng, semifield), False)
+            for _ in range(STICKY_K_SAMPLES)
+        )
+        yield Matrix(semifield, 2, 2, ((a, b), (c, d))), ks
 
 
 # --- JSON wire formats -------------------------------------------------------

@@ -19,8 +19,9 @@ from typing import Callable
 
 from . import _tropfast, sampling, semiring
 from ._boolspace import act_on_bits, all_cell_maps, first_violation, space
-from .green import MAX_BOUNDED_N, GreenRelation, factor_rank
+from .green import MAX_BOUNDED_N, GreenRelation, decidable_over, factor_rank
 from .linear_maps import (
+    IMAGE_RELATION,
     CanonicalForm,
     Exhaustive,
     ExhaustiveBoolean,
@@ -179,12 +180,18 @@ def _unit_map_from_cells(cells: tuple[int, ...], n: int) -> UnitPermutationMap:
     return UnitPermutationMap(n, Semifield.BOOLEAN, sigma, alpha)
 
 
+def _preserves(shape: str | None, rels) -> bool:
+    """Whether, by `IMAGE_RELATION`, a map of this `cell_shape` preserves every rel."""
+    return shape in IMAGE_RELATION and all(IMAGE_RELATION[shape][r] is r for r in rels)
+
+
 def _preserver_sets(n: int, rels):
     """Scan every cell map at size n against the tables of rels.
 
-    Returns (shapes, preservers, pairs): shapes maps each cell map to its
-    `cell_shape`, preservers[rel] is the set of cell maps that preserve
-    rel, and pairs counts the premise pairs the scans checked.
+    Returns (shapes, expected, preservers, pairs): shapes maps each cell
+    map to its `cell_shape`, expected is the set of cell maps whose shape
+    preserves every rel, preservers[rel] is the set of cell maps that
+    preserve rel, and pairs counts the premise pairs the scans checked.
     """
     sp = space(n)
     tables = [(rel, sp.table(rel)) for rel in rels]
@@ -199,7 +206,8 @@ def _preserver_sets(n: int, rels):
             pairs += seen
             if hit is None:
                 preservers[rel].add(cells)
-    return shapes, preservers, pairs
+    expected = {cells for cells, shape in shapes.items() if _preserves(shape, rels)}
+    return shapes, expected, preservers, pairs
 
 
 def _membership_witnesses(preservers, reference: set, label: str) -> list[dict]:
@@ -220,8 +228,7 @@ def _membership_witnesses(preservers, reference: set, label: str) -> list[dict]:
 def _t1_exhaustive(params: SuiteParams):
     n = params.n
     rels = (GreenRelation.L, GreenRelation.R, GreenRelation.LEQ_L, GreenRelation.LEQ_R)
-    shapes, preservers, pairs = _preserver_sets(n, rels)
-    standard_maps = {cells for cells, shape in shapes.items() if shape == "standard"}
+    shapes, standard_maps, preservers, pairs = _preserver_sets(n, rels)
     witnesses = _membership_witnesses(preservers, standard_maps, "canonical_standard")
     counts = {
         "maps_enumerated": len(shapes),
@@ -350,11 +357,10 @@ def _t1_sampled(params: SuiteParams):
         rng.shuffle(cells_list)
         cells = tuple(cells_list)
         sampled += 1
-        verdict_class = cell_shape(cells, n) or "non_canonical"
+        shape = cell_shape(cells, n)
+        verdict_class = shape or "non_canonical"
         for rel in rels:
-            expect_preserved = verdict_class == "standard" or (
-                verdict_class == "transpose" and rel is GreenRelation.H
-            )
+            expect_preserved = _preserves(shape, (rel,))
             found = None
             for a, b in pools[rel]:
                 pair_checks += 1
@@ -399,8 +405,7 @@ def _t1_sampled(params: SuiteParams):
 def _t2_exhaustive(params: SuiteParams):
     n = params.n
     rels = (GreenRelation.D, GreenRelation.J, GreenRelation.LEQ_J)
-    shapes, preservers, pairs = _preserver_sets(n, rels)
-    canonical = {cells for cells, shape in shapes.items() if shape is not None}
+    shapes, canonical, preservers, pairs = _preserver_sets(n, rels)
     witnesses = _membership_witnesses(preservers, canonical, "canonical")
     shape_counts = list(shapes.values())
     counts = {
@@ -419,45 +424,26 @@ def _t2_exhaustive(params: SuiteParams):
 # --- corollaries: strong preservation / exchange of the canonical maps ------
 
 
-_STRONG_PRESERVED_ALWAYS = (
-    GreenRelation.D,
-    GreenRelation.J,
-    GreenRelation.LEQ_J,
-    GreenRelation.H,
-)
-_STRONG_PRESERVED_STANDARD = (
-    GreenRelation.L,
-    GreenRelation.R,
-    GreenRelation.LEQ_L,
-    GreenRelation.LEQ_R,
-)
-_EXCHANGED_TRANSPOSE = (
-    (GreenRelation.L, GreenRelation.R),
-    (GreenRelation.LEQ_L, GreenRelation.LEQ_R),
-)
-
-
 def _corollaries_exhaustive(params: SuiteParams):
     n = params.n
     canonical_maps = []
     for cells in all_cell_maps(n):
         shape = cell_shape(cells, n)
         if shape is not None:
-            canonical_maps.append((_unit_map_from_cells(cells, n), shape == "transpose"))
+            canonical_maps.append((_unit_map_from_cells(cells, n), shape))
     witnesses = []
     checks = 0
     pairs = 0
-    for u, transposed in canonical_maps:
-        verdicts = []
-        for rel in _STRONG_PRESERVED_ALWAYS:
-            verdicts.append(check_preservation(u, rel, Exhaustive(), strong=True))
-        if transposed:
-            for pair in _EXCHANGED_TRANSPOSE:
-                verdicts.append(check_exchange(u, Exhaustive(), strong=True, pair=pair))
-        else:
-            for rel in _STRONG_PRESERVED_STANDARD:
-                verdicts.append(check_preservation(u, rel, Exhaustive(), strong=True))
-        for v in verdicts:
+    for u, shape in canonical_maps:
+        exchanged = set()  # each exchanged pair is checked once, at its first relation
+        for rel, target in IMAGE_RELATION[shape].items():
+            if target is rel:
+                v = check_preservation(u, rel, Exhaustive(), strong=True)
+            elif rel in exchanged:
+                continue
+            else:
+                exchanged.add(target)
+                v = check_exchange(u, Exhaustive(), strong=True, pair=(rel, target))
             checks += 1
             pairs += v.pairs_checked
             if not v.ok:
@@ -481,8 +467,9 @@ def _corollaries_exhaustive(params: SuiteParams):
 
 
 def _corollaries_randomized(params: SuiteParams):
-    """Seeded check that X -> PXQ preserves L/R/leqL/leqR/H and X -> PX^TQ
-    exchanges L with R (and the pre-orders) while preserving H.
+    """Seeded check that canonical maps of each shape carry every relation
+    decidable over the carrier (L, R, leqL, leqR and H over a tropical one)
+    to its `IMAGE_RELATION` target.
 
     Pair pools are shared across the monomial pairs.  The bulk checks run
     on the integer max-plus kernel through `images_related`: each pair is
@@ -493,13 +480,7 @@ def _corollaries_randomized(params: SuiteParams):
     """
     sf, n = params.semifield, params.n
     rng = random.Random(params.seed)
-    pool_rels = (
-        GreenRelation.L,
-        GreenRelation.R,
-        GreenRelation.LEQ_L,
-        GreenRelation.LEQ_R,
-        GreenRelation.H,
-    )
+    pool_rels = [rel for rel in IMAGE_RELATION["standard"] if decidable_over(rel, sf)]
     per_rel = max(1, params.trials // len(pool_rels))
     pools = {
         rel: [sampling.related_pair(rng, sf, n, rel) for _ in range(per_rel)]
@@ -508,23 +489,16 @@ def _corollaries_randomized(params: SuiteParams):
     scaled_pools = {
         rel: [_tropfast.kernel_grids(a, b, rel) for a, b in pool] for rel, pool in pools.items()
     }
-    exchange_of = {
-        GreenRelation.L: GreenRelation.R,
-        GreenRelation.R: GreenRelation.L,
-        GreenRelation.LEQ_L: GreenRelation.LEQ_R,
-        GreenRelation.LEQ_R: GreenRelation.LEQ_L,
-        GreenRelation.H: GreenRelation.H,
-    }
     witnesses = []
     pair_checks = 0
     for idx in range(params.monomial_pairs):
         p = sampling.random_monomial(rng, sf, n)
         q = sampling.random_monomial(rng, sf, n)
-        for label, transposed in (("standard", False), ("transpose", True)):
-            u = synthesize(CanonicalForm(p, q, transposed), n, sf)
+        for label, image in IMAGE_RELATION.items():
+            u = synthesize(CanonicalForm(p, q, label == "transpose"), n, sf)
             smap = _tropfast.scale_map(u)
             for rel in pool_rels:
-                target = rel if label == "standard" else exchange_of[rel]
+                target = image[rel]
                 for (a, b), scaled in zip(pools[rel], scaled_pools[rel]):
                     pair_checks += 1
                     if images_related(u, smap, a, b, scaled, target):
@@ -555,8 +529,9 @@ def _corollaries_randomized(params: SuiteParams):
 
 
 def _h_theorem_exhaustive(params: SuiteParams):
-    shapes, preservers, _ = _preserver_sets(params.n, (GreenRelation.H, GreenRelation.D))
-    canonical = {cells for cells, shape in shapes.items() if shape is not None}
+    shapes, canonical, preservers, _ = _preserver_sets(
+        params.n, (GreenRelation.H, GreenRelation.D)
+    )
     witnesses = _membership_witnesses(preservers, canonical, "canonical")
     sticky = find_sticky(Semifield.BOOLEAN, ExhaustiveBoolean())
     if sticky.survivor is not None:

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, determinism, strict parsing."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import pathlib
@@ -364,6 +365,38 @@ class TestEggbox:
         first = capsys.readouterr().out
         cli.main(["eggbox", "--n", "2", "--format", "dot"])
         assert capsys.readouterr().out == first
+
+
+def _script_main(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"script_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.main
+
+
+class TestScripts:
+    @pytest.mark.parametrize(
+        "name, argv, error",
+        [
+            ("emit_eggbox", ["--n", "1", "4"],
+             "egg-box decomposition is available for 1 <= n <= 3"),
+            ("search_sticky", ["--trials", "0"], "trials must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_input_is_one_line_error(self, capsys, name, argv, error):
+        assert _script_main(name)(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # nothing was searched or drawn
+        assert captured.err == f"error: {error}\n"
+
+    def test_eggbox_out_dir_that_cannot_be_made_is_one_line_error(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert _script_main("emit_eggbox")(["--n", "1", "--out-dir", str(taken)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestParsing:

@@ -12,6 +12,7 @@ from greenmat import sampling
 from greenmat import semiring as sr
 from greenmat.green import GreenRelation, relate
 from greenmat.linear_maps import (
+    IMAGE_RELATION,
     CanonicalForm,
     Exhaustive,
     ExhaustiveBoolean,
@@ -289,6 +290,13 @@ class TestPreservation:
         assert relate(v.counterexample.a, v.counterexample.b, GR.L)
         assert not relate(v.counterexample.image_a, v.counterexample.image_b, GR.L)
 
+    def test_randomized_rejects_trials_below_one(self):
+        with pytest.raises(ValueError, match="^trials must be at least 1, got 0$"):
+            check_preservation(
+                unit_map_from_cells((0, 4, 8, 5, 6, 1, 7, 2, 3), 3), GR.L,
+                Randomized(seed=1, trials=0),
+            )
+
     def test_exhaustive_mode_limits(self):
         with pytest.raises(UnsupportedMode):
             check_preservation(identity_map(2, T), GR.L, Exhaustive())
@@ -353,6 +361,41 @@ class TestPreservation:
         assert v.outcome == "NoCounterexampleFound"
 
 
+class TestImageRelation:
+    """`IMAGE_RELATION` against the exhaustive deciders at n = 3, strong checks."""
+
+    def test_rows_list_every_relation_in_order(self):
+        order = [GR.L, GR.R, GR.LEQ_L, GR.LEQ_R, GR.H, GR.D, GR.J, GR.LEQ_J]
+        assert list(IMAGE_RELATION) == ["standard", "transpose"]
+        assert all(list(image) == order for image in IMAGE_RELATION.values())
+
+    @pytest.mark.parametrize(
+        "cells, shape",
+        [
+            ((0, 3, 6, 1, 4, 7, 2, 5, 8), "transpose"),
+            ((3, 4, 5, 0, 1, 2, 6, 7, 8), "standard"),  # swap rows 1 and 2
+            ((1, 2, 0, 4, 5, 3, 7, 8, 6), "standard"),  # cycle the columns
+        ],
+    )
+    def test_canonical_maps_do_what_the_table_says(self, cells, shape):
+        assert lm.cell_shape(cells, 3) == shape
+        u = unit_map_from_cells(cells, 3)
+        for rel, target in IMAGE_RELATION[shape].items():
+            v = check_preservation(u, rel, Exhaustive(), strong=True)
+            assert v.outcome == ("Preserved" if target is rel else "Counterexample"), rel
+            if target is not rel:
+                v = check_exchange(u, Exhaustive(), strong=True, pair=(rel, target))
+                assert v.outcome == "Exchanges", rel
+
+    def test_non_canonical_map_preserves_nothing(self):
+        cells = (0, 4, 8, 5, 6, 1, 7, 2, 3)
+        assert lm.cell_shape(cells, 3) is None
+        u = unit_map_from_cells(cells, 3)
+        for rel in GR:
+            v = check_preservation(u, rel, Exhaustive(), strong=True)
+            assert v.outcome == "Counterexample", rel
+
+
 class TestSticky:
     def test_boolean_exhaustive(self):
         rep = find_sticky(B, ExhaustiveBoolean())
@@ -396,6 +439,23 @@ class TestSticky:
             find_sticky(T, ExhaustiveBoolean())
         with pytest.raises(UnsupportedMode):
             find_sticky(B, RandomizedTropical(seed=1))
+
+    def test_randomized_rejects_trials_below_one(self):
+        with pytest.raises(ValueError, match="^trials must be at least 1, got 0$"):
+            find_sticky(T, RandomizedTropical(seed=1, trials=0))
+
+    def test_every_randomized_candidate_gets_its_k_samples(self, monkeypatch):
+        tested = []
+        real = lm._refute_candidate
+
+        def spy(m, ks):
+            tested.append(sum(not is_witness for _, is_witness in ks))
+            return real(m, ks)
+
+        monkeypatch.setattr(lm, "_refute_candidate", spy)
+        rep = find_sticky(TI, RandomizedTropical(seed=42, trials=50))
+        assert rep.outcome == "NoCandidateFound" and rep.candidates == 50
+        assert tested == [lm.STICKY_K_SAMPLES] * 50
 
     def test_rank_collapse_refutes_h(self):
         """For sampled full-support rank-2 M and invertible k: whenever one of
