@@ -3,9 +3,10 @@
 
 Boolean suites run exhaustively; tropical suites run seeded.  With
 --json-dir the byte-stable JSON reports are also written to disk for
-regression diffing.  Parameters are checked for every run before the
-first starts; a rejected one ends the script with one ``error:`` line on
-stderr and exit code 2.
+regression diffing.  Parameters are checked for every run, and --json-dir
+made, before the first run starts; a rejected parameter or a directory
+that cannot be made ends the script with one ``error:`` line on stderr
+and exit code 2.
 """
 
 import argparse
@@ -53,13 +54,13 @@ def tropical_battery(seed: int, trials: int, monomial_pairs: int):
     yield "t1", SuiteParams(semifield=Semifield.BOOLEAN, n=3, seed=seed, trials=trials)
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=42, help="seed for the randomized suites")
     parser.add_argument("--trials", type=int, default=1000)
     parser.add_argument("--monomial-pairs", type=int, default=100)
     parser.add_argument("--json-dir", type=pathlib.Path, default=None)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     runs = list(BATTERY) + list(
         tropical_battery(args.seed, args.trials, args.monomial_pairs)
@@ -67,10 +68,12 @@ def main() -> int:
     try:
         for name, params in runs:
             check_params(name, params)
-        return run_all(runs, args.json_dir)
-    except (UnknownSuite, UnsupportedParams) as exc:
+        if args.json_dir is not None:
+            args.json_dir.mkdir(parents=True, exist_ok=True)
+    except (UnknownSuite, UnsupportedParams, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return run_all(runs, args.json_dir)
 
 
 def run_all(runs, json_dir) -> int:
@@ -81,7 +84,6 @@ def run_all(runs, json_dir) -> int:
         if not report.passed:
             failures += 1
         if json_dir is not None:
-            json_dir.mkdir(parents=True, exist_ok=True)
             stem = f"{name}_{report.semifield}_n{report.n}_{report.mode}"
             path = json_dir / f"{stem}.json"
             path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")

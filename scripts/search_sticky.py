@@ -4,8 +4,10 @@ A_k H-related to B_k for every tested invertible k).
 
 None is expected to exist; the interesting output is how each sampled
 candidate gets refuted, and in particular that over the rationals the
-square-root witness always does it.  A bad --trials ends the script with
-one ``error:`` line on stderr and exit code 2.
+square-root witness always does it.  --trials is bounded as for the
+h_theorem suite (``greenmat verify``), and --show must be at least 0;
+a bad value ends the script with one ``error:`` line on stderr and exit
+code 2, before any search.
 """
 
 import argparse
@@ -18,6 +20,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 from greenmat.linear_maps import ExhaustiveBoolean, RandomizedTropical, find_sticky
 from greenmat.matrix import matrix_to_json
 from greenmat.semiring import Semifield, format_value
+from greenmat.verify import SuiteParams, UnsupportedParams, check_params
 
 
 def main(argv=None) -> int:
@@ -33,13 +36,19 @@ def main(argv=None) -> int:
 
     sf = Semifield(args.semifield)
     try:
-        mode = (
-            ExhaustiveBoolean() if sf is Semifield.BOOLEAN
-            else RandomizedTropical(seed=args.seed, trials=args.trials)
+        check_params(
+            "h_theorem",
+            SuiteParams(semifield=sf, n=2, seed=args.seed, trials=args.trials),
         )
-    except ValueError as exc:
+        if args.show < 0:
+            raise UnsupportedParams(f"show must be at least 0, got {args.show}")
+    except UnsupportedParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    mode = (
+        ExhaustiveBoolean() if sf is Semifield.BOOLEAN
+        else RandomizedTropical(seed=args.seed, trials=args.trials)
+    )
     report = find_sticky(sf, mode)
     print(f"semifield: {report.semifield}   mode: {report.mode}   seed: {report.seed}")
     print(f"candidates examined: {report.candidates}")

@@ -15,7 +15,10 @@ Row(a) <= Row(b) and a leqR b iff Col(a) <= Col(b); L, R and H are key
 equalities, D = R o L and leqJ = leqL o leqR (a = s*b*t gives
 a leqL b*t leqR b).  The keys are built on first use; tests pin the
 tables against brute-force product closures and the Matrix-level
-deciders.
+deciders.  A composed table (D, leqJ, and the converse of leqJ behind
+J) is built once per distinct row, since the members of a class share
+one row.  The egg-box (eggbox) reads its L-, R- and D-classes off these
+tables as their distinct rows.
 
 `d_witness` and `leq_j_witness` are the searches behind the D, J and
 leqJ witnesses of green.relate_witness.  Every exhaustive preservation
@@ -165,8 +168,7 @@ class BooleanSpace:
     @functools.cached_property
     def j_table(self) -> list[int]:
         leq = self.leq_j_table
-        conv = _converse(leq, self.size)
-        return [leq[a] & conv[a] for a in range(self.size)]
+        return [up & down for up, down in zip(leq, _converse(leq))]
 
     def table(self, rel: GreenRelation) -> list[int]:
         return {
@@ -254,33 +256,30 @@ def _below(keys: list[int]) -> list[int]:
     return [row_of[k] for k in keys]
 
 
-def _converse(table: list[int], size: int) -> list[int]:
-    """Transpose a bitmask relation table in one pass."""
-    out = [0] * size
-    for b in range(size):
-        row = table[b]
-        a = 0
+def _converse(table: list[int]) -> list[int]:
+    """Transpose a bitmask relation table, one pass per distinct row: the
+    matrices that share a row join the column of each of its set bits."""
+    out = [0] * len(table)
+    for row, holders in _members(table).items():
         while row:
-            if row & 1:
-                out[a] |= 1 << b
-            row >>= 1
-            a += 1
+            low = row & -row
+            out[low.bit_length() - 1] |= holders
+            row ^= low
     return out
 
 
 def _compose(first: list[int], second: list[int]) -> list[int]:
-    """The relation a first c, c second b, as bitmask rows."""
-    out = []
-    for row in first:
-        acc = 0
-        c = 0
-        while row:
-            if row & 1:
-                acc |= second[c]
-            row >>= 1
-            c += 1
-        out.append(acc)
-    return out
+    """The relation a first c, c second b, as bitmask rows; each distinct
+    row of first is composed once, since equal rows give equal results."""
+    composed = {}
+    for row in set(first):
+        acc, bits = 0, row
+        while bits:
+            low = bits & -bits
+            acc |= second[low.bit_length() - 1]
+            bits ^= low
+        composed[row] = acc
+    return [composed[row] for row in first]
 
 
 def act_on_bits(cell_map: tuple[int, ...], m: int) -> int:

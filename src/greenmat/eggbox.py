@@ -1,11 +1,10 @@
 """Egg-box decomposition of the boolean matrix monoid, with JSON/DOT output.
 
 Matrices are grouped into L-, R-, H- and D-classes; each D-class is a
-grid of H-classes indexed by (R-class, L-class).  L- and R-classes are
-the matrices with equal row-space and column-space keys (_boolspace).
-D is computed as the join of the L- and R-partitions, which agrees with
-the one-intermediate definition; the equivalence of the two routes is
-pinned by tests.  Each H-class is ranked on the column masks of its
+grid of H-classes indexed by (R-class, L-class).  The L-, R- and
+D-classes are read off the relation tables of _boolspace: the matrices
+with equal rows in a table form one class, and each D-class must be
+exactly its own row.  Each H-class is ranked on the column masks of its
 least member (green.boolean_rank_of_columns), and the ranks must agree
 across a D-class.  All orderings come from the fixed total order on
 bit-encoded matrices, so renderings are deterministic.
@@ -16,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._boolspace import space
-from .green import MAX_BOUNDED_N, boolean_rank_of_columns
+from .green import MAX_BOUNDED_N, GreenRelation, boolean_rank_of_columns
 from .matrix import Matrix, matrix_to_json
 from .semiring import UnsupportedParams
 
@@ -45,11 +44,11 @@ class EggBox:
     d_classes: tuple[DClass, ...]
 
 
-def _number_classes(keys: list[int]) -> list[int]:
-    """Class index per element, where equal keys share a class; classes are
-    numbered by first (least) member."""
+def _number_classes(rows: list[int]) -> list[int]:
+    """Class index per element, where equal table rows share a class;
+    classes are numbered by first (least) member."""
     number: dict[int, int] = {}
-    return [number.setdefault(k, len(number)) for k in keys]
+    return [number.setdefault(row, len(number)) for row in rows]
 
 
 def eggbox(n: int) -> EggBox:
@@ -57,39 +56,13 @@ def eggbox(n: int) -> EggBox:
     if not 1 <= n <= MAX_BOUNDED_N:
         raise UnsupportedParams(f"egg-box decomposition is available for 1 <= n <= {MAX_BOUNDED_N}")
     sp = space(n)
-    l_of = _number_classes(sp.row_keys)  # a L b iff Row(a) = Row(b)
-    r_of = _number_classes(sp.col_keys)  # a R b iff Col(a) = Col(b)
-    # D = join of L and R: union-find over elements seeded by both partitions
-    parent = list(range(sp.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    first_l: dict[int, int] = {}
-    first_r: dict[int, int] = {}
-    for m in range(sp.size):
-        if l_of[m] in first_l:
-            union(m, first_l[l_of[m]])
-        else:
-            first_l[l_of[m]] = m
-        if r_of[m] in first_r:
-            union(m, first_r[r_of[m]])
-        else:
-            first_r[r_of[m]] = m
-    members: dict[int, list[int]] = {}
-    for m in range(sp.size):
-        members.setdefault(find(m), []).append(m)
+    l_of = _number_classes(sp.table(GreenRelation.L))
+    r_of = _number_classes(sp.table(GreenRelation.R))
+    members: dict[int, list[int]] = {}  # by D row, in order of least member
+    for m, row in enumerate(sp.table(GreenRelation.D)):
+        members.setdefault(row, []).append(m)
     d_classes = []
-    for index, root in enumerate(sorted(members)):
-        elems = members[root]
+    for index, (row, elems) in enumerate(members.items()):
         r_ids = sorted({r_of[m] for m in elems})
         l_ids = sorted({l_of[m] for m in elems})
         r_local = {g: i for i, g in enumerate(r_ids)}
@@ -105,6 +78,8 @@ def eggbox(n: int) -> EggBox:
         }
         if len(ranks) != 1:
             raise AssertionError("factor rank is not constant on a D-class")
+        if row != sum(1 << m for m in elems):
+            raise AssertionError("a D-class's table row is not exactly its members")
         h_classes = tuple(
             HClass(r, l, len(cells[(r, l)]), sp.matrix_of(min(cells[(r, l)])))
             for r, l in sorted(cells)

@@ -382,6 +382,12 @@ class TestScripts:
             ("emit_eggbox", ["--n", "1", "4"],
              "egg-box decomposition is available for 1 <= n <= 3"),
             ("search_sticky", ["--trials", "0"], "trials must be at least 1, got 0"),
+            ("search_sticky", ["--semifield", "boolean", "--trials", "0"],
+             "trials must be at least 1, got 0"),
+            ("search_sticky", ["--trials", "100000000"],
+             "trials must be at most 10000, got 100000000"),
+            ("search_sticky", ["--show", "-1", "--trials", "5"],
+             "show must be at least 0, got -1"),
         ],
     )
     def test_bad_input_is_one_line_error(self, capsys, name, argv, error):
@@ -396,6 +402,14 @@ class TestScripts:
         assert _script_main("emit_eggbox")(["--n", "1", "--out-dir", str(taken)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_suites_json_dir_that_cannot_be_made_is_one_line_error(self, capsys, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert _script_main("run_suites")(["--json-dir", str(taken / "reports")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no suite ran
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 

@@ -200,6 +200,28 @@ def test_eggbox_output_is_byte_identical_to_golden(capsys, n, fmt):
     assert hashlib.sha256(out.encode()).hexdigest() == EGGBOX_DIGESTS[(n, fmt)]
 
 
+#: SHA-256 of each n = 3 relation table, every row written as 64
+#: little-endian bytes (bit b of row a says whether a rel b), recorded
+#: before D, J and leqJ were composed once per distinct row.
+TABLE_DIGESTS_N3 = {
+    GR.LEQ_L: "171fd195b4b92b02c53c4e88a4a0a16d192f4c10cffe170d885dcd2cfbee2a43",
+    GR.LEQ_R: "c8b711fb65c29e49315d73cf179d08dd6d4ba090a0d5df47f161204137b78957",
+    GR.LEQ_J: "fedfa78629b4f3c86d653762c4c8936189a49d2f566d3df98e391ce7e83b9521",
+    GR.L: "f6ed64ee205ebf07a78027f2af38e21d86e4179e34a7d347704527d5f668b9f6",
+    GR.R: "486eda0dcd6e072370a8ec7851846a1e59cd02e4440066f205820cfce14bb7d4",
+    GR.H: "acdbf66d6736ffd98f021cffcdbcdc5cc88e9b9515756fca8a089c7d108dfaaa",
+    GR.D: "d50d67cb085906928e7d108b0201d9a4be06dc47ad0e2c85e43d4a8a165836e8",
+    GR.J: "d50d67cb085906928e7d108b0201d9a4be06dc47ad0e2c85e43d4a8a165836e8",
+}
+
+
+@pytest.mark.parametrize("rel", list(GR))
+def test_n3_table_is_byte_identical_to_golden(rel):
+    sp = _boolspace.BooleanSpace(3)
+    data = b"".join(row.to_bytes(sp.size // 8, "little") for row in sp.table(rel))
+    assert hashlib.sha256(data).hexdigest() == TABLE_DIGESTS_N3[rel]
+
+
 def _shape_of_forms(n):
     """Cell maps of synthesize(CanonicalForm(P, Q, t)) over all permutation
     matrices P, Q, by shape."""

@@ -288,7 +288,7 @@ class TestEggbox:
         assert group.r_class_count == 1 and group.l_class_count == 1
 
     def test_d_join_agrees_with_bounded_search_n2(self):
-        """D computed as the join of L and R equals the one-intermediate search."""
+        """The egg-box's D-classes equal the one-intermediate search."""
         box = eggbox(2)
         sp = _boolspace.space(2)
         mats = [sp.matrix_of(i) for i in range(sp.size)]
@@ -336,6 +336,14 @@ class TestEggbox:
     def test_size_limit(self):
         with pytest.raises(UnsupportedParams):
             eggbox(4)
+
+    def test_table_rows_that_are_not_classes_are_rejected(self, monkeypatch):
+        # leqL's rows are down-sets, not classes, so they cannot stand for D
+        sp = _boolspace.BooleanSpace(2)
+        sp.d_table = sp.leq_l_table
+        monkeypatch.setattr("greenmat.eggbox.space", lambda n: sp)
+        with pytest.raises(AssertionError, match="not exactly its members"):
+            eggbox(2)
 
 
 def _same_d_class(box, sp, i, j):
