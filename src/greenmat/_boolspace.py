@@ -17,8 +17,11 @@ a leqL b*t leqR b).  The keys are built on first use; tests pin the
 tables against brute-force product closures and the Matrix-level
 deciders.  A composed table (D, leqJ, and the converse of leqJ behind
 J) is built once per distinct row, since the members of a class share
-one row.  The egg-box (eggbox) reads its L-, R- and D-classes off these
-tables as their distinct rows.
+one row.  Every query (`related`) is a lookup in one of these tables.
+The egg-box (eggbox) reads its L-, R- and D-classes off them as their
+distinct rows, and its ranks off `ranks`: a = B*C with B of k columns
+iff Col(a) lies in the span of k vectors, so the factor rank depends on
+the column space alone and is searched once per distinct column key.
 
 `d_witness` and `leq_j_witness` are the searches behind the D, J and
 leqJ witnesses of green.relate_witness.  Every exhaustive preservation
@@ -34,7 +37,7 @@ import itertools
 from .matrix import Matrix
 from .semiring import Semifield
 from . import semiring
-from .green import MAX_BOUNDED_N, GreenRelation
+from .green import MAX_BOUNDED_N, GreenRelation, boolean_rank_of_columns
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,13 +115,21 @@ class BooleanSpace:
         rk = self.row_keys
         return [rk[t] for t in self.transposed]
 
-    def leq_l(self, a: int, b: int) -> bool:
-        """a leqL b iff Row(a) <= Row(b)."""
-        return self.row_keys[a] & ~self.row_keys[b] == 0
+    @functools.cached_property
+    def ranks(self) -> list[int]:
+        """The factor rank of each matrix, searched once per column key
+        (green.boolean_rank_of_columns on the columns of its first holder)."""
+        by_key: dict[int, int] = {}
+        for m, key in enumerate(self.col_keys):
+            if key not in by_key:
+                by_key[key] = boolean_rank_of_columns(self.rows[self.transposed[m]], self.n)
+        return [by_key[key] for key in self.col_keys]
 
-    def leq_r(self, a: int, b: int) -> bool:
-        """a leqR b iff Col(a) <= Col(b)."""
-        return self.col_keys[a] & ~self.col_keys[b] == 0
+    def leq_l(self, a: int, b: int) -> bool:
+        """a leqL b iff Row(a) <= Row(b).  The deciders ask `related`;
+        this key comparison stays for perfbench/tracing.py, which counts
+        its calls."""
+        return self.row_keys[a] & ~self.row_keys[b] == 0
 
     def mul(self, a: int, b: int) -> int:
         n = self.n
@@ -171,26 +182,10 @@ class BooleanSpace:
         return [up & down for up, down in zip(leq, _converse(leq))]
 
     def table(self, rel: GreenRelation) -> list[int]:
-        return {
-            GreenRelation.LEQ_L: lambda: self.leq_l_table,
-            GreenRelation.LEQ_R: lambda: self.leq_r_table,
-            GreenRelation.LEQ_J: lambda: self.leq_j_table,
-            GreenRelation.L: lambda: self.l_table,
-            GreenRelation.R: lambda: self.r_table,
-            GreenRelation.H: lambda: self.h_table,
-            GreenRelation.D: lambda: self.d_table,
-            GreenRelation.J: lambda: self.j_table,
-        }[rel]()
+        return getattr(self, _TABLES[rel])
 
     def related(self, a: int, b: int, rel: GreenRelation) -> bool:
-        """Decide a rel b: L, R and H by comparing keys, without building
-        a table; every other relation by a lookup in its table."""
-        if rel is GreenRelation.L:
-            return self.row_keys[a] == self.row_keys[b]
-        if rel is GreenRelation.R:
-            return self.col_keys[a] == self.col_keys[b]
-        if rel is GreenRelation.H:
-            return self.related(a, b, GreenRelation.L) and self.related(a, b, GreenRelation.R)
+        """Decide a rel b by a lookup in its table."""
         return (self.table(rel)[a] >> b) & 1 == 1
 
     # --- witness searches, in the index order of the multipliers ---------
@@ -237,6 +232,19 @@ class BooleanSpace:
                 if (v >> i) & 1:
                     t |= 1 << (i * n + j)
         return t
+
+
+#: The table property of BooleanSpace behind each relation.
+_TABLES = {
+    GreenRelation.LEQ_L: "leq_l_table",
+    GreenRelation.LEQ_R: "leq_r_table",
+    GreenRelation.LEQ_J: "leq_j_table",
+    GreenRelation.L: "l_table",
+    GreenRelation.R: "r_table",
+    GreenRelation.H: "h_table",
+    GreenRelation.D: "d_table",
+    GreenRelation.J: "j_table",
+}
 
 
 def _members(keys: list[int]) -> dict[int, int]:

@@ -4,10 +4,10 @@ Matrices are grouped into L-, R-, H- and D-classes; each D-class is a
 grid of H-classes indexed by (R-class, L-class).  The L-, R- and
 D-classes are read off the relation tables of _boolspace: the matrices
 with equal rows in a table form one class, and each D-class must be
-exactly its own row.  Each H-class is ranked on the column masks of its
-least member (green.boolean_rank_of_columns), and the ranks must agree
-across a D-class.  All orderings come from the fixed total order on
-bit-encoded matrices, so renderings are deterministic.
+exactly its own row.  Every member is ranked by the `ranks` table of
+_boolspace, and the ranks must agree across a D-class.  All orderings
+come from the fixed total order on bit-encoded matrices, so renderings
+are deterministic.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._boolspace import space
-from .green import MAX_BOUNDED_N, GreenRelation, boolean_rank_of_columns
+from .green import MAX_BOUNDED_N, GreenRelation
 from .matrix import Matrix, matrix_to_json
 from .semiring import UnsupportedParams
 
@@ -70,12 +70,7 @@ def eggbox(n: int) -> EggBox:
         cells: dict[tuple[int, int], list[int]] = {}
         for m in elems:
             cells.setdefault((r_local[r_of[m]], l_local[l_of[m]]), []).append(m)
-        # rank from the columns of each H-class's least member: rows of
-        # its transpose
-        ranks = {
-            boolean_rank_of_columns(sp.rows[sp.transposed[min(cell)]], n)
-            for cell in cells.values()
-        }
+        ranks = {sp.ranks[m] for m in elems}
         if len(ranks) != 1:
             raise AssertionError("factor rank is not constant on a D-class")
         if row != sum(1 << m for m in elems):

@@ -243,43 +243,33 @@ def classify(u: UnitPermutationMap) -> ClassifyOutcome:
 
     Checks, in order: the cell permutation factors through a row and a
     column permutation (directly or after a transpose; `cell_shape`),
-    then the coefficient matrix has factor rank one.  The coefficient
-    split is normalized by x_1 = 1 so classify/synthesize round-trip
-    exactly.
+    then the coefficient matrix has factor rank one.  A map of the
+    transpose shape sends unit (i, j) where X -> PXQ sends unit (j, i),
+    so its transposed unit tables are split as a map of the standard
+    shape.  P comes from column 0 of the coefficients and Q from row 0,
+    normalized by x_1 = 1 (the first coefficient of P is the identity),
+    so classify/synthesize round-trip exactly.
     """
     n = u.n
-    sigma = u.sigma
     shape = cell_shape(_cell_map(u), n)
     if shape is None:
         return NonCanonical(NonCanonicalReason.ROW_COLUMN_STRUCTURE_VIOLATED)
-    transposed = shape == "transpose"
-    t = int(transposed)
-    rho = tuple(sigma[i][0][t] for i in range(n))
-    tau = tuple(sigma[0][j][1 - t] for j in range(n))
-    coeffs = Matrix(u.semifield, n, n, u.alpha)
-    if not has_factor_rank_at_most_one(coeffs):
+    sigma, alpha = u.sigma, u.alpha
+    if shape == "transpose":
+        sigma, alpha = tuple(zip(*sigma)), tuple(zip(*alpha))
+    if not has_factor_rank_at_most_one(Matrix(u.semifield, n, n, alpha)):
         return NonCanonical(NonCanonicalReason.COEFFICIENTS_NOT_RANK_ONE)
     one_v = semiring.one(u.semifield)
-    inv00 = semiring.inv(u.alpha[0][0])
-    xs = [one_v] + [semiring.mul(u.alpha[i][0], inv00) for i in range(1, n)]
-    ys = [u.alpha[0][j] for j in range(n)]
-    if not transposed:
-        p = MonomialMatrix(n, rho, tuple(xs))
-        qperm = [0] * n
-        qscale: list[SemifieldValue] = [one_v] * n
-        for j in range(n):
-            qperm[tau[j]] = j
-            qscale[tau[j]] = ys[j]
-        q = MonomialMatrix(n, tuple(qperm), tuple(qscale))
-        return CanonicalForm(p, q, False)
-    p = MonomialMatrix(n, tau, tuple(ys))
+    inv00 = semiring.inv(alpha[0][0])
+    xs = (one_v,) + tuple(semiring.mul(alpha[i][0], inv00) for i in range(1, n))
+    p = MonomialMatrix(n, tuple(sigma[i][0][0] for i in range(n)), xs)
     qperm = [0] * n
     qscale = [one_v] * n
-    for i in range(n):
-        qperm[rho[i]] = i
-        qscale[rho[i]] = xs[i]
+    for j in range(n):
+        qperm[sigma[0][j][1]] = j
+        qscale[sigma[0][j][1]] = alpha[0][j]
     q = MonomialMatrix(n, tuple(qperm), tuple(qscale))
-    return CanonicalForm(p, q, True)
+    return CanonicalForm(p, q, shape == "transpose")
 
 
 def classify_linear_map(t: LinearMap) -> ClassifyOutcome:
@@ -299,23 +289,14 @@ def synthesize(c: CanonicalForm, n: int, semifield: Semifield) -> UnitPermutatio
     qinv = [0] * n
     for col, row in enumerate(c.q.perm):
         qinv[row] = col
-    sigma = []
-    alpha = []
-    for i in range(n):
-        srow = []
-        arow = []
-        for j in range(n):
-            if not c.transposed:
-                k, l = c.p.perm[i], qinv[j]
-                coeff = semiring.mul(c.p.scale[i], c.q.scale[qinv[j]])
-            else:
-                k, l = c.p.perm[j], qinv[i]
-                coeff = semiring.mul(c.p.scale[j], c.q.scale[qinv[i]])
-            srow.append((k, l))
-            arow.append(coeff)
-        sigma.append(tuple(srow))
-        alpha.append(tuple(arow))
-    return UnitPermutationMap(n, semifield, tuple(sigma), tuple(alpha))
+    sigma = tuple(tuple((c.p.perm[i], qinv[j]) for j in range(n)) for i in range(n))
+    alpha = tuple(
+        tuple(semiring.mul(c.p.scale[i], c.q.scale[qinv[j]]) for j in range(n))
+        for i in range(n)
+    )
+    if c.transposed:  # unit (i, j) goes where X -> PXQ sends unit (j, i)
+        sigma, alpha = tuple(zip(*sigma)), tuple(zip(*alpha))
+    return UnitPermutationMap(n, semifield, sigma, alpha)
 
 
 # --- preservation and exchange checks ---------------------------------------

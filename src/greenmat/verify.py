@@ -302,7 +302,7 @@ def _random_related_bits(rng: random.Random, sp, rel: GreenRelation, perm_bits: 
             return b, b
         if variant == 1:
             a = sp.mul(rng.randrange(sp.size), b)
-            if sp.leq_l(b, a):
+            if sp.related(b, a, GreenRelation.LEQ_L):
                 return a, b
         return sp.mul(rng.choice(perm_bits), b), b
     if rel is GreenRelation.R:
@@ -310,7 +310,7 @@ def _random_related_bits(rng: random.Random, sp, rel: GreenRelation, perm_bits: 
             return b, b
         if variant == 1:
             a = sp.mul(b, rng.randrange(sp.size))
-            if sp.leq_r(b, a):
+            if sp.related(b, a, GreenRelation.LEQ_R):
                 return a, b
         return sp.mul(b, rng.choice(perm_bits)), b
     if rel is GreenRelation.H:

@@ -400,6 +400,7 @@ class TestFactorRank:
             rank = boolean_rank_of_columns(columns, 3)
             assert rank == factor_rank(sp.matrix_of(m)).value, m
             assert rank == next((k for k in range(3) if m in at_most[k]), 3), m
+            assert sp.ranks[m] == rank, m
 
     @pytest.mark.parametrize("rows, cols", [(2, 7), (3, 6), (4, 5)])
     def test_boolean_rank_is_transpose_invariant(self, rows, cols):

@@ -56,7 +56,7 @@ class TestBoolspace:
             i, j = rng.randrange(sp.size), rng.randrange(sp.size)
             a, b = sp.matrix_of(i), sp.matrix_of(j)
             assert sp.leq_l(i, j) == relate(a, b, GR.LEQ_L)
-            assert sp.leq_r(i, j) == relate(a, b, GR.LEQ_R)
+            assert sp.related(i, j, GR.LEQ_R) == relate(a, b, GR.LEQ_R)
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_transposed_and_rows_match_per_cell_definitions(self, n):

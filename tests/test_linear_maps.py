@@ -1,11 +1,14 @@
 """Classification of linear maps and preservation/exchange checking."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from greenmat import cli
 from greenmat import linear_maps as lm
 from greenmat import matrix as mx
 from greenmat import sampling
@@ -214,6 +217,91 @@ class TestClassify:
                 qx = mx.monomial_expand(q)
                 arg = mx.transpose(x) if transposed else x
                 assert apply(u, x) == mx.mat_mul(mx.mat_mul(px, arg), qx)
+
+    @pytest.mark.parametrize("sf", [T, TI])
+    def test_p_is_normalized_for_both_shapes(self, sf):
+        """The first coefficient of P is the identity, whatever the shape,
+        and the form synthesizes back to the map."""
+        rng = random.Random(29)
+        for n in (1, 2, 3):
+            for transposed in (False, True):
+                for c in _seeded_forms(rng, sf, n, transposed, 10):
+                    u = synthesize(c, n, sf)
+                    out = classify(u)
+                    assert out.p.scale[0] == sr.one(sf)
+                    assert synthesize(out, n, sf) == u
+
+
+def _seeded_forms(rng, sf, n, transposed, count):
+    for _ in range(count):
+        p = sampling.random_monomial(rng, sf, n)
+        yield CanonicalForm(p, sampling.random_monomial(rng, sf, n), transposed)
+
+
+def _unit_form_text(u) -> str:
+    alpha = [[sr.format_value(c) for c in row] for row in u.alpha]
+    return json.dumps([u.semifield.value, u.n, u.sigma, alpha])
+
+
+#: SHA-256 of synthesize over 30 seeded forms per carrier, size 1..4 and
+#: shape, recorded while synthesize built each shape cell by cell.
+_SYNTHESIZE_GOLDEN = "f4a3aa6704b5809253358847b7e51aa1951f2a9575ecc26d18c49ad28825dabb"
+
+
+def test_synthesize_is_byte_identical_to_golden():
+    rng = random.Random(20261019)
+    lines = []
+    for sf in (B, T, TI):
+        for n in (1, 2, 3, 4):
+            for transposed in (False, True):
+                for c in _seeded_forms(rng, sf, n, transposed, 30):
+                    lines.append(_unit_form_text(synthesize(c, n, sf)))
+    assert len(lines) == 720
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _SYNTHESIZE_GOLDEN
+
+
+def _golden_classify_maps():
+    """Standard-shape tropical maps, canonical and with random coefficients,
+    and boolean maps of both shapes and of none."""
+    rng = random.Random(1019)
+    for sf in (T, TI):
+        for n in (1, 2, 3):
+            for c in _seeded_forms(rng, sf, n, False, 12):
+                u = synthesize(c, n, sf)
+                yield u
+                alpha = tuple(
+                    tuple(sampling.random_nonzero_scalar(rng, sf) for _ in range(n))
+                    for _ in range(n)
+                )
+                yield UnitPermutationMap(n, sf, u.sigma, alpha)
+    for cells in itertools.permutations(range(4)):
+        yield unit_map_from_cells(cells, 2)
+    for transposed in (False, True):
+        for c in _seeded_forms(rng, B, 3, transposed, 12):
+            yield synthesize(c, 3, B)
+    for _ in range(12):
+        cells = list(range(9))
+        rng.shuffle(cells)
+        yield unit_map_from_cells(cells, 3)
+
+
+#: SHA-256 of the concatenated stdout of `greenmat classify` over
+#: _golden_classify_maps, recorded while classify built P and Q of the
+#: transpose shape by a second builder.
+_CLASSIFY_GOLDEN = "bf66d4fdbc1b74891a1e8e503303fd122ad79752f9855d14db6c8a4d8475c056"
+
+
+def test_classify_output_is_byte_identical_to_golden(tmp_path, capsys):
+    path = tmp_path / "map.json"
+    outs = []
+    for u in _golden_classify_maps():
+        path.write_text(json.dumps(lm.linear_map_to_json(to_linear_map(u))))
+        assert cli.main(["classify", str(path)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(outs) == 2 * 3 * 12 * 2 + 24 + 2 * 12 + 12
+    assert sum('"transposed": true' in o for o in outs) == 16
+    assert sum("non_canonical" in o for o in outs) == 76
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == _CLASSIFY_GOLDEN
 
 
 class TestPreservation:

@@ -363,5 +363,6 @@ def _same_d_class(box, sp, i, j):
 
 def _h_equiv(sp, a, b):
     return (
-        sp.leq_l(a, b) and sp.leq_l(b, a) and sp.leq_r(a, b) and sp.leq_r(b, a)
+        sp.leq_l(a, b) and sp.leq_l(b, a)
+        and sp.related(a, b, GreenRelation.LEQ_R) and sp.related(b, a, GreenRelation.LEQ_R)
     )
