@@ -7,7 +7,11 @@ import io
 import itertools
 import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import lcm
 
@@ -116,9 +120,6 @@ class TestBoolspace:
         assert sp.d_table == d_tab
         # J = D in a finite monoid
         assert sp.j_table == d_tab
-        assert all(sp.related(a, b, GR.L) == ((l_tab[a] >> b) & 1 == 1)
-                   and sp.related(a, b, GR.R) == ((r_tab[a] >> b) & 1 == 1)
-                   for a in range(0, sp.size, 7) for b in range(sp.size))
 
     @pytest.mark.parametrize("n", (1, 2, 3))
     def test_witness_searches_agree_with_tables(self, n):
@@ -135,13 +136,13 @@ class TestBoolspace:
             if st is not None:
                 assert sp.mul(sp.mul(st[0], b), st[1]) == a
 
-    def test_related_matches_tables_n2(self):
+    def test_related_matches_reference_n2(self):
         sp = _boolspace.BooleanSpace(2)
+        mats = [sp.matrix_of(m) for m in range(sp.size)]
         for rel in GR:
-            table = sp.table(rel)
             for a in range(sp.size):
                 for b in range(sp.size):
-                    assert sp.related(a, b, rel) == ((table[a] >> b) & 1 == 1), (rel, a, b)
+                    assert sp.related(a, b, rel) == relate(mats[a], mats[b], rel), (rel, a, b)
 
     def test_related_matches_reference_sampled_n3(self):
         sp = _boolspace.BooleanSpace(3)
@@ -315,9 +316,50 @@ def _assert_decide_matches_reference(a, b):
 
 class TestTropfast:
     @settings(max_examples=120, deadline=None)
-    @given(st.integers(2, 3).flatmap(lambda n: _pairs(T, n, (1, 2, 3, 4, 6), (5, 7, 10, 12))))
-    def test_decide_matches_reference_different_denominators(self, pair):
+    @given(
+        st.integers(2, 3).flatmap(lambda n: _pairs(T, n, (1, 2, 3, 4, 6), (5, 7, 10, 12))),
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(_tropical_grids(n, ints=True), _tropical_grids(n, ints=True))
+        ),
+    )
+    def test_decide_matches_reference_different_denominators(self, pair, wide):
         _assert_decide_matches_reference(*pair)
+        # kernels of every width from 1 to 6, on a random pair, a leqL pair
+        # (s*b, b) and a leqR pair (b*s, b)
+        s, b = (_matrix(TI, rows) for rows in wide)
+        for a in (s, mat_mul(s, b), mat_mul(b, s)):
+            _assert_decide_matches_reference(a, b)
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_decide_matches_reference_exhaustively(self, n):
+        # every pair of n-by-n matrices with entries in {-inf, 0, 1}
+        cells = itertools.product((None, 0, 1), repeat=n * n)
+        grids = [tuple(c[i * n : (i + 1) * n] for i in range(n)) for c in cells]
+        mats = [_matrix(TI, g) for g in grids]
+        for (ga, a), (gb, b) in itertools.product(zip(grids, mats), repeat=2):
+            for rel in _FAST_RELS:
+                assert _tropfast.decide(ga, gb, rel) == relate(a, b, rel), (rel, ga, gb)
+
+    def test_kernels_are_compiled_on_first_use_once_per_width_and_orientation(self):
+        # a fresh interpreter, so no earlier test has filled the cache
+        code = (
+            "import greenmat, greenmat.cli, greenmat.verify\n"
+            "from greenmat import _tropfast as tf\n"
+            "from greenmat.green import GreenRelation as GR\n"
+            "sizes = [tf._leq_kernel.cache_info().currsize]\n"
+            "for n in (2, 3, 2):\n"
+            "    g = tuple((0,) * n for _ in range(n))\n"
+            "    tf.decide(g, g, GR.H)\n"
+            "    sizes.append(tf._leq_kernel.cache_info().currsize)\n"
+            "print(sizes)\n"
+        )
+        src = pathlib.Path(_tropfast.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[0, 2, 4, 4]\n"
 
     @settings(max_examples=60, deadline=None)
     @given(_pairs(T, 1, (1, 2, 3), (1, 5, 7)))
