@@ -17,16 +17,14 @@ any fixed-width type, and floats are never used.
 The kernel decides leqL by `leq_l` and leqR by `leq_l` on the transposes,
 and composes L, R and H from them by ``green.EQUIVALENCE_PARTS``, the
 table the reference decider composes by.  `leq_l` runs a kernel written
-for one width and orientation: `_leq_source` writes out the column loop
-of one template, so each entry is a local variable and the transposed
-kernel walks columns through ``zip`` without building a grid.  The
-source is made from the int width alone and compiled on first use, never
-at import; `_leq_kernel` keeps one compiled kernel per width and
-orientation for the life of the module.  Widths are bounded by the
-callers: ``matrix.MAX_MATRIX_SIDE`` = 16 on the command line and
-``verify.MAX_TROPICAL_N`` = 8 in the suites, so the cache holds at most
-32 entries.  A kernel compiles in 0.4 ms at width 3 and 1.6 ms at width
-16 (a 2-vCPU Xeon VM, Python 3.11.7).
+for one width: `_leq_source` writes out the column loop of one template,
+so each entry is a local variable.  The source is made from the int
+width alone and compiled on first use, never at import; `_leq_kernel`
+keeps one kernel per width for the life of the module.  Widths are
+bounded by the callers: ``matrix.MAX_MATRIX_SIDE`` = 16 on the command
+line and ``verify.MAX_TROPICAL_N`` = 8 in the suites, so the cache holds
+at most 16 entries.  A kernel compiles in 0.4 ms at width 3 and 1.6 ms
+at width 16 (a 2-vCPU Xeon VM, Python 3.11.7).
 
 Grids are tuples of rows, with ``None`` for -inf.  Three kinds of
 caller use the kernel:
@@ -205,18 +203,17 @@ def _at_scale(m: Matrix, scale: int) -> tuple:
     )
 
 
-#: The leqL kernel of one width and orientation.  `_leq_source` writes
-#: its column loop out, one _COLUMN block per column ``{j}`` with the bit
-#: ``{bit}``, so the kernel reads each entry from a local variable.  ``s``
-#: is None until a finite ``b_kj`` is met; a -inf ``a_ij`` against a finite
-#: ``b_kj`` makes ``s_k`` -inf, which attains nothing, so the row of b is
-#: skipped.
+#: The leqL kernel of one width.  `_leq_source` writes its column loop
+#: out, one _COLUMN block per column ``{j}`` with the bit ``{bit}``, so the
+#: kernel reads each entry from a local variable.  ``s`` is None until a
+#: finite ``b_kj`` is met; a -inf ``a_ij`` against a finite ``b_kj`` makes
+#: ``s_k`` -inf, which attains nothing, so the row of b is skipped.
 _KERNEL = """\
 def leq_l(agrid, bgrid):
-{prologue}    for {xs}, in {arows}:
+    for {xs}, in agrid:
         need = {need}
         covered = 0
-        for {ys}, in {brows}:
+        for {ys}, in bgrid:
             s = None
             hit = 0
 {columns}            covered |= hit
@@ -239,41 +236,31 @@ _COLUMN = """\
 """
 
 
-def _leq_source(n: int, transposed: bool) -> str:
-    """The source of the leqL kernel for grids ``n`` columns wide, or with
-    ``transposed`` for the transposes of grids ``n`` rows high, made from
-    the int ``n`` alone."""
-    n = int(n)
-    cols = range(n)
-    if transposed:
-        bs = ", ".join(f"b{j}" for j in cols)
-        prologue, arows, brows = f"    {bs}, = bgrid\n", "zip(*agrid)", f"zip({bs})"
-    else:
-        prologue, arows, brows = "", "agrid", "bgrid"
+def _leq_source(n: int) -> str:
+    """The source of the leqL kernel for grids ``n`` columns wide, made
+    from the int ``n`` alone."""
+    cols = range(int(n))
     return _KERNEL.format(
-        prologue=prologue,
         xs=", ".join(f"x{j}" for j in cols),
         ys=", ".join(f"y{j}" for j in cols),
-        arows=arows,
-        brows=brows,
         need=" | ".join(f"(0 if x{j} is None else {1 << j})" for j in cols),
         columns="".join(_COLUMN.format(j=j, bit=1 << j) for j in cols),
     )
 
 
 @cache
-def _leq_kernel(n: int, transposed: bool):
+def _leq_kernel(n: int):
     """The compiled kernel of `_leq_source`, built on first use and kept
-    for the life of the module: one entry per width and orientation."""
+    for the life of the module: one entry per width."""
     namespace: dict = {}
-    code = compile(_leq_source(n, transposed), f"<leq_l n={n} transposed={transposed}>", "exec")
+    code = compile(_leq_source(n), f"<leq_l n={n}>", "exec")
     exec(code, namespace)
     return namespace["leq_l"]
 
 
-def leq_l(agrid: tuple, bgrid: tuple, transposed: bool = False) -> bool:
-    """a leqL b on integer grids, row by row of a; with ``transposed``,
-    a^T leqL b^T, which is a leqR b, column by column.
+def leq_l(agrid: tuple, bgrid: tuple) -> bool:
+    """a leqL b on integer grids, row by row of a.  leqR is this on the
+    transposes (`_PREORDERS`).
 
     The principal solution of ``s*b = a`` is ``s_k = min_j (a_ij - b_kj)``
     over the finite ``b_kj``, and always ``s*b <= a``.  Equality needs
@@ -284,10 +271,9 @@ def leq_l(agrid: tuple, bgrid: tuple, transposed: bool = False) -> bool:
 
     The scan of a row of a stops at the first row of b after which every
     finite ``a_ij`` is attained.  The work is done by the kernel that
-    `_leq_kernel` compiles for the width of the grids (their columns, or
-    with ``transposed`` their rows).
+    `_leq_kernel` compiles for the width of the grids.
     """
-    return _leq_kernel(len(agrid) if transposed else len(agrid[0]), transposed)(agrid, bgrid)
+    return _leq_kernel(len(agrid[0]))(agrid, bgrid)
 
 
 def decide(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
@@ -297,7 +283,8 @@ def decide(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
     except KeyError:
         raise ValueError(f"no fast decider for {rel.value}") from None
     for _, transposed in parts:
-        if not leq_l(agrid, bgrid, transposed) or both and not leq_l(bgrid, agrid, transposed):
+        x, y = (transpose_grid(agrid), transpose_grid(bgrid)) if transposed else (agrid, bgrid)
+        if not leq_l(x, y) or both and not leq_l(y, x):
             return False
     return True
 

@@ -180,13 +180,6 @@ def try_sqrt(x: SemifieldValue) -> SemifieldValue | None:
     return SemifieldValue(x.semifield, x.payload // 2)
 
 
-def non_unit_square(semifield: Semifield) -> SemifieldValue | None:
-    """An invertible k with k*k != 1, or None when none exists (boolean only)."""
-    if semifield is Semifield.BOOLEAN:
-        return None
-    return value(semifield, 1)
-
-
 def natural_leq(x: SemifieldValue, y: SemifieldValue) -> bool:
     """The natural order of an idempotent semifield: x <= y iff x + y = y."""
     return add(x, y) == y

@@ -84,16 +84,6 @@ class TestExamples:
         with pytest.raises(NotInvertible):
             sr.try_sqrt(sr.zero(TI))
 
-    def test_non_unit_square_boolean_has_none(self):
-        assert sr.non_unit_square(B) is None
-
-    @pytest.mark.parametrize("sf", [T, TI])
-    def test_non_unit_square_tropical(self, sf):
-        k = sr.non_unit_square(sf)
-        assert k is not None
-        assert not sr.is_zero(k)
-        assert sr.mul(k, k) != sr.one(sf)
-
     def test_mixed_semifields_rejected(self):
         with pytest.raises(MixedSemifields):
             sr.add(sr.one(B), sr.one(T))
