@@ -17,7 +17,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from greenmat.linear_maps import ExhaustiveBoolean, RandomizedTropical, find_sticky
+from greenmat.linear_maps import Exhaustive, Randomized, find_sticky
 from greenmat.matrix import matrix_to_json
 from greenmat.semiring import Semifield, format_value
 from greenmat.verify import SuiteParams, UnsupportedParams, check_params
@@ -46,8 +46,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     mode = (
-        ExhaustiveBoolean() if sf is Semifield.BOOLEAN
-        else RandomizedTropical(seed=args.seed, trials=args.trials)
+        Exhaustive() if sf is Semifield.BOOLEAN
+        else Randomized(seed=args.seed, trials=args.trials)
     )
     report = find_sticky(sf, mode)
     print(f"semifield: {report.semifield}   mode: {report.mode}   seed: {report.seed}")

@@ -394,19 +394,15 @@ def reverify(a: Matrix, b: Matrix, rel: GreenRelation, expected: bool) -> None:
 
 
 def map_rep(u) -> tuple[tuple[int, ...], tuple]:
-    """Flatten a unit-permutation map to (cell targets, (num, den) coefficient grid)."""
-    n = u.n
-    cells = []
-    coeffs = []
-    for i in range(n):
-        crow = []
-        for j in range(n):
-            k, l = u.sigma[i][j]
-            cells.append(k * n + l)
-            p = u.alpha[i][j].payload
-            crow.append((p.numerator, p.denominator) if isinstance(p, Fraction) else (p, 1))
-        coeffs.append(tuple(crow))
-    return tuple(cells), tuple(coeffs)
+    """A unit-permutation map as (its cell map ``u.cells``, (num, den) coefficient grid)."""
+    coeffs = tuple(
+        tuple(
+            (p.numerator, p.denominator) if isinstance(p, Fraction) else (p, 1)
+            for p in (c.payload for c in row)
+        )
+        for row in u.alpha
+    )
+    return u.cells, coeffs
 
 
 def apply_scaled(

@@ -20,6 +20,7 @@ is re-decided by the reference decider before it is reported.
 from __future__ import annotations
 
 import enum
+import functools
 import random
 from dataclasses import dataclass
 
@@ -101,6 +102,12 @@ class UnitPermutationMap:
                     raise MixedSemifields("coefficient over a different semifield")
                 if semiring.is_zero(c):
                     raise ValueError("coefficients must be nonzero")
+
+    @functools.cached_property
+    def cells(self) -> tuple[int, ...]:
+        """The cell map, row-major: unit (i, j) goes to cell cells[i*n + j] = k*n + l."""
+        n = self.n
+        return tuple(k * n + l for row in self.sigma for k, l in row)
 
 
 class NonCanonicalReason(enum.Enum):
@@ -251,7 +258,7 @@ def classify(u: UnitPermutationMap) -> ClassifyOutcome:
     so classify/synthesize round-trip exactly.
     """
     n = u.n
-    shape = cell_shape(_cell_map(u), n)
+    shape = cell_shape(u.cells, n)
     if shape is None:
         return NonCanonical(NonCanonicalReason.ROW_COLUMN_STRUCTURE_VIOLATED)
     sigma, alpha = u.sigma, u.alpha
@@ -307,18 +314,14 @@ class Exhaustive:
     pass
 
 
-def _require_trials(trials: int) -> None:
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
-
-
 @dataclass(frozen=True)
 class Randomized:
     seed: int
     trials: int = 1000
 
     def __post_init__(self):
-        _require_trials(self.trials)
+        if self.trials < 1:
+            raise ValueError(f"trials must be at least 1, got {self.trials}")
 
 
 Mode = Exhaustive | Randomized
@@ -346,16 +349,6 @@ class Verdict:
     @property
     def ok(self) -> bool:
         return self.counterexample is None
-
-
-def _cell_map(u: UnitPermutationMap) -> tuple[int, ...]:
-    n = u.n
-    out = [0] * (n * n)
-    for i in range(n):
-        for j in range(n):
-            k, l = u.sigma[i][j]
-            out[i * n + j] = k * n + l
-    return tuple(out)
 
 
 def _exhaustive_pre(u: UnitPermutationMap, rels) -> None:
@@ -434,8 +427,7 @@ def _check(
 def _check_exhaustive(u, name, strong, directions, texts, passed) -> Verdict:
     """Every pair of boolean matrices, in one `_boolspace.first_violation` scan."""
     sp = _boolspace.space(u.n)
-    act = _cell_map(u)
-    tmap = [_boolspace.act_on_bits(act, m) for m in range(sp.size)]
+    tmap = [_boolspace.act_on_bits(u.cells, m) for m in range(sp.size)]
     table_pairs = [(sp.table(src), sp.table(dst)) for src, dst in directions]
     checked, hit = _boolspace.first_violation(table_pairs, tmap, strong)
     if hit is None:
@@ -514,23 +506,9 @@ def _reverified_counterexample(a, b, ta, tb, src, dst, holds: bool, texts):
 # --- sticky-matrix search ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExhaustiveBoolean:
-    pass
-
-
 #: Random invertible k the randomized search tests per candidate, after
 #: the square-root witness when there is one.
 STICKY_K_SAMPLES = 8
-
-
-@dataclass(frozen=True)
-class RandomizedTropical:
-    seed: int
-    trials: int = 1000
-
-    def __post_init__(self):
-        _require_trials(self.trials)
 
 
 @dataclass(frozen=True)
@@ -581,19 +559,22 @@ def _refute_candidate(
     return None
 
 
-def find_sticky(semifield: Semifield, mode) -> StickyReport:
+def find_sticky(semifield: Semifield, mode: Mode) -> StickyReport:
     """Search for a 2x2 matrix with invertible entries, factor rank 2, and
     A_k H B_k at every tested invertible k.  No such matrix is expected
     to exist; the report carries one refutation per candidate.
+
+    Exhaustive() searches the boolean carrier, Randomized(seed, trials)
+    a tropical one.
     """
-    if isinstance(mode, ExhaustiveBoolean):
+    if isinstance(mode, Exhaustive):
         if semifield is not Semifield.BOOLEAN:
             raise UnsupportedMode("exhaustive sticky search is boolean-only")
         label, seed, generator = "exhaustive", None, None
         one_v = semiring.one(semifield)  # all ones: the only full-support candidate
         m = Matrix(semifield, 2, 2, ((one_v, one_v), (one_v, one_v)))
         stream = [(m, None if factor_rank(m).value != 2 else [(one_v, False)])]
-    elif isinstance(mode, RandomizedTropical):
+    elif isinstance(mode, Randomized):
         if not semifield.is_tropical:
             raise UnsupportedMode("randomized sticky search needs a tropical carrier")
         label, seed, generator = "randomized", mode.seed, sampling.GENERATOR_NAME

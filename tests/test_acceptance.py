@@ -13,8 +13,8 @@ from greenmat import semiring as sr
 from greenmat.green import GreenRelation, factor_rank, relate
 from greenmat.linear_maps import (
     CanonicalForm,
-    ExhaustiveBoolean,
-    RandomizedTropical,
+    Exhaustive,
+    Randomized,
     UnitPermutationMap,
     apply,
     classify,
@@ -185,12 +185,12 @@ def test_criterion_6_sticky_search():
     1000 seeded tropical rank-2 candidates all refuted at the square-root
     witness, exact arithmetic throughout."""
     started = time.perf_counter()
-    boolean = find_sticky(B, ExhaustiveBoolean())
+    boolean = find_sticky(B, Exhaustive())
     assert boolean.outcome == "NoCandidateFound"
     assert boolean.candidates == 1
     assert boolean.refutations[0].failed == "S2"
     assert factor_rank(boolean.refutations[0].m).value == 1
-    tropical = find_sticky(T, RandomizedTropical(seed=42, trials=1000))
+    tropical = find_sticky(T, Randomized(seed=42, trials=1000))
     assert tropical.outcome == "NoCandidateFound"
     assert tropical.candidates == 1000
     assert len(tropical.refutations) == 1000
@@ -224,7 +224,7 @@ def test_criterion_8_n3_scaling_check():
     started = time.perf_counter()
     report = run_suite(
         "t1",
-        SuiteParams(semifield=B, n=3, seed=1848, trials=1000, map_samples=1000),
+        SuiteParams(semifield=B, n=3, seed=1848, trials=1000),
     )
     assert report.passed
     assert report.counts["maps_classified"] == 362880

@@ -396,6 +396,14 @@ class TestScripts:
         assert captured.out == ""  # nothing was searched or drawn
         assert captured.err == f"error: {error}\n"
 
+    def test_boolean_sticky_search_refutes_its_one_candidate_by_s2(self, capsys):
+        assert _script_main("search_sticky")(["--semifield", "boolean"]) == 0
+        out = capsys.readouterr().out
+        assert "candidates examined: 1\n" in out
+        assert "  refuted by S2: 1\n" in out
+        assert out.count("refuted by") == 1
+        assert out.endswith("outcome: NoCandidateFound\n")
+
     def test_eggbox_out_dir_that_cannot_be_made_is_one_line_error(self, capsys, tmp_path):
         taken = tmp_path / "taken"
         taken.write_text("")

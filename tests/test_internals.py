@@ -554,7 +554,7 @@ class TestLyingKernel:
     def test_sticky_survivor_is_rechecked(self, monkeypatch, sf):
         monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel: True)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
-            lm.find_sticky(sf, lm.RandomizedTropical(seed=1, trials=3))
+            lm.find_sticky(sf, lm.Randomized(seed=1, trials=3))
 
     def test_honest_kernel_against_a_lying_sampler_is_caught(self, monkeypatch):
         # the sampler accepts every candidate pair as related; the premise
@@ -563,6 +563,16 @@ class TestLyingKernel:
         u = _seeded_map(T, 2, "standard", 5)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             lm.check_preservation(u, GR.L, lm.Randomized(seed=0, trials=20))
+
+    @pytest.mark.parametrize("sf", (T, TI))
+    def test_corollaries_recheck_the_premise_of_a_failure(self, monkeypatch, sf):
+        # the sampler's L/R/H draws are kernel verdicts; here it hands out a
+        # pair related under no pool relation, whose images are unrelated too
+        unrelated = (mx.identity(sf, 2), mx.zero_matrix(sf, 2, 2))
+        monkeypatch.setattr(sampling, "related_pair", lambda rng, sf, n, rel: unrelated)
+        params = SuiteParams(semifield=sf, n=2, seed=1, trials=5, monomial_pairs=1)
+        with pytest.raises(AssertionError, match="disagrees with the reference"):
+            run_suite("corollaries", params)
 
 
 def _random_canonical_map(rng, sf, n):
@@ -819,7 +829,7 @@ def test_randomized_verdicts_are_byte_identical_to_golden():
 
 def test_sticky_reports_are_byte_identical_to_golden():
     for sf, seed, trials, digest in _STICKY_GOLDEN:
-        rep = lm.find_sticky(sf, lm.RandomizedTropical(seed=seed, trials=trials))
+        rep = lm.find_sticky(sf, lm.Randomized(seed=seed, trials=trials))
         assert hashlib.sha256(_sticky_text(rep).encode()).hexdigest() == digest, (sf, seed)
 
 

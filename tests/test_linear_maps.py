@@ -8,7 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greenmat import cli
+from greenmat import _tropfast, cli
 from greenmat import linear_maps as lm
 from greenmat import matrix as mx
 from greenmat import sampling
@@ -18,13 +18,11 @@ from greenmat.linear_maps import (
     IMAGE_RELATION,
     CanonicalForm,
     Exhaustive,
-    ExhaustiveBoolean,
     LinearMap,
     NonCanonical,
     NonCanonicalReason,
     NotBijective,
     Randomized,
-    RandomizedTropical,
     UnitPermutationMap,
     UnsupportedMode,
     apply,
@@ -189,6 +187,19 @@ class TestClassify:
                 canonical += 1
                 assert synthesize(out, 2, B) == u
         assert canonical == 8
+
+    def test_cells_is_the_row_major_cell_map(self):
+        """All 24 cell maps at n=2: `cells` is the encoding `map_rep` returns."""
+        for cells in itertools.permutations(range(4)):
+            u = unit_map_from_cells(cells, 2)
+            assert u.cells == cells
+            assert _tropfast.map_rep(u)[0] == cells
+
+    def test_reading_cells_keeps_equality_and_hash(self):
+        u, v = unit_map_from_cells((1, 0, 3, 2), 2), unit_map_from_cells((1, 0, 3, 2), 2)
+        assert u.cells == (1, 0, 3, 2)
+        assert u == v and v == u and hash(u) == hash(v)
+        assert u != unit_map_from_cells((0, 1, 3, 2), 2)
 
     @settings(max_examples=50)
     @given(st.data())
@@ -486,7 +497,7 @@ class TestImageRelation:
 
 class TestSticky:
     def test_boolean_exhaustive(self):
-        rep = find_sticky(B, ExhaustiveBoolean())
+        rep = find_sticky(B, Exhaustive())
         assert rep.outcome == "NoCandidateFound"
         assert rep.candidates == 1
         assert rep.refutations[0].failed == "S2"
@@ -506,31 +517,31 @@ class TestSticky:
         assert not relate(ak, bk, GR.H)
 
     def test_tropical_randomized_seed42(self):
-        rep = find_sticky(T, RandomizedTropical(seed=42, trials=1000))
+        rep = find_sticky(T, Randomized(seed=42, trials=1000))
         assert rep.outcome == "NoCandidateFound"
         assert rep.candidates == 1000
         assert len(rep.refutations) == 1000
         assert all(r.failed == "S3" and r.k_is_square_root_witness for r in rep.refutations)
 
     def test_tropical_int_randomized(self):
-        rep = find_sticky(TI, RandomizedTropical(seed=9, trials=200))
+        rep = find_sticky(TI, Randomized(seed=9, trials=200))
         assert rep.outcome == "NoCandidateFound"
 
     def test_refutations_are_independently_checkable(self):
-        rep = find_sticky(T, RandomizedTropical(seed=6, trials=25))
+        rep = find_sticky(T, Randomized(seed=6, trials=25))
         for r in rep.refutations:
             ak, bk = lm._sticky_pair(r.m, r.k)
             assert not relate(ak, bk, GR.H)
 
     def test_mode_validation(self):
         with pytest.raises(UnsupportedMode):
-            find_sticky(T, ExhaustiveBoolean())
+            find_sticky(T, Exhaustive())
         with pytest.raises(UnsupportedMode):
-            find_sticky(B, RandomizedTropical(seed=1))
+            find_sticky(B, Randomized(seed=1))
 
     def test_randomized_rejects_trials_below_one(self):
         with pytest.raises(ValueError, match="^trials must be at least 1, got 0$"):
-            find_sticky(T, RandomizedTropical(seed=1, trials=0))
+            find_sticky(T, Randomized(seed=1, trials=0))
 
     def test_every_randomized_candidate_gets_its_k_samples(self, monkeypatch):
         tested = []
@@ -541,7 +552,7 @@ class TestSticky:
             return real(m, ks)
 
         monkeypatch.setattr(lm, "_refute_candidate", spy)
-        rep = find_sticky(TI, RandomizedTropical(seed=42, trials=50))
+        rep = find_sticky(TI, Randomized(seed=42, trials=50))
         assert rep.outcome == "NoCandidateFound" and rep.candidates == 50
         assert tested == [lm.STICKY_K_SAMPLES] * 50
 

@@ -49,7 +49,6 @@ class TestSuitePlumbing:
         [
             ("monomial_pairs", verify.MAX_MONOMIAL_PAIRS, "corollaries",
              SuiteParams(semifield=T, n=2, seed=1)),
-            ("map_samples", verify.MAX_MAP_SAMPLES, "t1", SuiteParams(semifield=B, n=3, seed=1)),
         ],
     )
     def test_suite_counts_are_bounded(self, field, cap, name, base):
@@ -71,7 +70,7 @@ class TestSuitePlumbing:
                 for n in range(1, 10):
                     for seed in (None, 1):
                         params = SuiteParams(semifield=sf, n=n, seed=seed, trials=1,
-                                             monomial_pairs=1, map_samples=1)
+                                             monomial_pairs=1)
                         try:
                             mode = verify.check_params(name, params)
                         except UnsupportedParams:
@@ -249,7 +248,7 @@ class TestTheoremSuites:
 
     def test_t1_sampled_n3(self):
         r = run_suite(
-            "t1", SuiteParams(semifield=B, n=3, seed=11, trials=120, map_samples=60)
+            "t1", SuiteParams(semifield=B, n=3, seed=11, trials=120)
         )
         assert r.passed
         assert r.counts["maps_classified"] == 362880
