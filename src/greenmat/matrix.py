@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from . import semiring
 from .semiring import (
+    MINUS_INF,
     MixedSemifields,
     ParseError,
     Semifield,
@@ -113,6 +114,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     _check_compatible(a, b)
     if a.cols != b.rows:
         raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
+    sf = a.semifield
+    if sf.is_tropical:
+        return Matrix(sf, a.rows, b.cols, _tropical_product(sf, a, b))
     add, mul = semiring.add, semiring.mul
     bt = tuple(zip(*b.entries))
     out = []
@@ -125,6 +129,27 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             out_row.append(acc)
         out.append(tuple(out_row))
     return Matrix(a.semifield, a.rows, b.cols, tuple(out))
+
+
+def _tropical_product(sf: Semifield, a: Matrix, b: Matrix) -> tuple:
+    """The entries of the tropical product ``a*b``, folded on payloads: each
+    entry is the max of the finite sums ``a_ik + b_kj``, wrapped once."""
+    zero = semiring.zero(sf)
+    bcols = [[e.payload for e in col] for col in zip(*b.entries)]
+    out = []
+    for arow in a.entries:
+        xs = [e.payload for e in arow]
+        out_row = []
+        for ys in bcols:
+            acc = MINUS_INF
+            for x, y in zip(xs, ys):
+                if x is not MINUS_INF and y is not MINUS_INF:
+                    s = x + y
+                    if acc is MINUS_INF or s > acc:
+                        acc = s
+            out_row.append(zero if acc is MINUS_INF else SemifieldValue(sf, acc))
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

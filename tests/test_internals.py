@@ -2,6 +2,7 @@
 reference deciders; the exhaustive suites lean on these equivalences."""
 
 import contextlib
+import functools
 import hashlib
 import io
 import itertools
@@ -316,6 +317,37 @@ def _assert_decide_matches_reference(a, b):
         assert _tropfast.decide(ga, gb, rel) == relate(a, b, rel), rel
 
 
+def _assert_images_match_reference(u, a, b):
+    """The image function gives u(a), u(b) and their transposes at the
+    pair's common scale with the map, and `decide_images` gives the
+    verdicts of ``green.relate`` on u(a), u(b).  Returns ``(fc, fx)``."""
+    smap = _tropfast.scale_map(u)
+    scale_u, inv, coeffs = smap
+    scaled = _tropfast.kernel_grids(a, b, GR.L)
+    scale_ab, ga, gb = scaled
+    common = lcm(scale_u, scale_ab)
+    fc, fx = common // scale_u, common // scale_ab
+    grids = _tropfast._image_kernel(u.n)(ga, gb, inv, coeffs, fc, fx)
+    ua, ub = lm.apply(u, a), lm.apply(u, b)
+    images = (ua, ub, mx.transpose(ua), mx.transpose(ub))
+    for grid, image in zip(grids, images):
+        lifted = [[None if v is None else Fraction(v, common) for v in row] for row in grid]
+        assert lifted == _values(image)
+    for rel in _FAST_RELS:
+        assert _tropfast.decide_images(smap, scaled, rel) == relate(ua, ub, rel), rel
+    return fc, fx
+
+
+@functools.cache
+def _small_grids_and_verdicts(n):
+    """Every n-by-n grid with entries in {-inf, 0, 1}, and ``green.relate``'s
+    verdict on every pair of them: ``table[rel][i][j]`` for grids i, j."""
+    cells = itertools.product((None, 0, 1), repeat=n * n)
+    grids = [tuple(c[i * n : (i + 1) * n] for i in range(n)) for c in cells]
+    mats = [_matrix(TI, g) for g in grids]
+    return grids, {rel: [[relate(a, b, rel) for b in mats] for a in mats] for rel in _FAST_RELS}
+
+
 class TestTropfast:
     @settings(max_examples=120, deadline=None)
     @given(
@@ -334,28 +366,32 @@ class TestTropfast:
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_decide_matches_reference_exhaustively(self, n):
-        # every pair of n-by-n matrices with entries in {-inf, 0, 1}
-        cells = itertools.product((None, 0, 1), repeat=n * n)
-        grids = [tuple(c[i * n : (i + 1) * n] for i in range(n)) for c in cells]
-        mats = [_matrix(TI, g) for g in grids]
-        for (ga, a), (gb, b) in itertools.product(zip(grids, mats), repeat=2):
+        grids, table = _small_grids_and_verdicts(n)
+        for (i, ga), (j, gb) in itertools.product(enumerate(grids), repeat=2):
             for rel in _FAST_RELS:
-                assert _tropfast.decide(ga, gb, rel) == relate(a, b, rel), (rel, ga, gb)
+                assert _tropfast.decide(ga, gb, rel) == table[rel][i][j], (rel, ga, gb)
 
     def test_kernels_are_compiled_on_first_use_once_per_width(self):
-        # a fresh interpreter, so no earlier test has filled the cache;
-        # leqR and R run the leqL kernel of the same width on transposes
+        # a fresh interpreter, so no earlier test has filled the caches;
+        # leqR and R run the leqL kernel of the same width on transposes,
+        # and every map of one width shares one image function
         code = (
             "import greenmat, greenmat.cli, greenmat.verify\n"
             "from greenmat import _tropfast as tf\n"
             "from greenmat.green import GreenRelation as GR\n"
-            "sizes = [tf._leq_kernel.cache_info().currsize]\n"
+            "def sizes():\n"
+            "    caches = (tf._leq_kernel, tf._image_kernel)\n"
+            "    return tuple(c.cache_info().currsize for c in caches)\n"
+            "seen = [sizes()]\n"
             "for n in (2, 3, 2):\n"
             "    g = tuple((0,) * n for _ in range(n))\n"
             "    for rel in (GR.H, GR.R, GR.LEQ_R):\n"
             "        tf.decide(g, g, rel)\n"
-            "    sizes.append(tf._leq_kernel.cache_info().currsize)\n"
-            "print(sizes)\n"
+            "    smap = (1, tuple(range(n * n)), (0,) * (n * n))\n"
+            "    for rel in (GR.H, GR.L):\n"
+            "        tf.decide_images(smap, (1, g, g), rel)\n"
+            "    seen.append(sizes())\n"
+            "print(seen)\n"
         )
         src = pathlib.Path(_tropfast.__file__).resolve().parents[1]
         done = subprocess.run(
@@ -363,7 +399,7 @@ class TestTropfast:
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "[0, 1, 2, 2]\n"
+        assert done.stdout == "[(0, 0), (1, 1), (2, 2), (2, 2)]\n"
 
     @settings(max_examples=60, deadline=None)
     @given(_pairs(T, 1, (1, 2, 3), (1, 5, 7)))
@@ -407,28 +443,15 @@ class TestTropfast:
         for rel in _FAST_RELS:
             assert _tropfast.related(ga, gb, rel) == relate(a, b, rel), rel
 
-    def test_apply_scaled_matches_reference(self):
+    def test_image_kernel_matches_reference(self):
         rng = random.Random(99)
         for sf in (T, TI):
             for n in (1, 2, 3):
                 for _ in range(20):
                     u = _random_canonical_map(rng, sf, n)
-                    cells, coeffs = _tropfast.map_rep(u)
-                    scale_u, (icoeffs,) = _tropfast.scale_grids(coeffs)
                     x = sampling.random_matrix(rng, sf, n)
-                    scale_x, (ix,) = _tropfast.scale_grids(_tropfast.grid_of(x))
-                    common = lcm(scale_u, scale_x)
-                    got = _tropfast.apply_scaled(
-                        cells, icoeffs, ix, n, common // scale_u, common // scale_x
-                    )
-                    got_values = [
-                        [None if v is None else Fraction(v, common) for v in row] for row in got
-                    ]
-                    expected = [
-                        [None if e.payload is MINUS_INF else e.payload for e in row]
-                        for row in lm.apply(u, x).entries
-                    ]
-                    assert got_values == expected
+                    y = sampling.random_matrix(rng, sf, n)
+                    _assert_images_match_reference(u, x, y)
 
     def test_apply_map_matches_reference(self):
         rng = random.Random(99)
@@ -530,7 +553,7 @@ class TestLyingKernel:
     @pytest.mark.parametrize("sf", (T, TI))
     @pytest.mark.parametrize("strong", (False, True))
     def test_false_negatives_do_not_become_counterexamples(self, monkeypatch, sf, strong):
-        monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel: False)
+        monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel, transposes=None: False)
         mode = lm.Randomized(seed=3, trials=5)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             lm.check_preservation(_seeded_map(sf, 2, "standard", 1), GR.L, mode, strong=strong)
@@ -541,7 +564,7 @@ class TestLyingKernel:
     def test_false_positives_do_not_become_counterexamples(self, monkeypatch, sf):
         # honest sampling, so unrelated pairs reach the strong checks
         monkeypatch.setattr(sampling, "decide_matrices", relate)
-        monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel: True)
+        monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel, transposes=None: True)
         mode = lm.Randomized(seed=4, trials=5)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             lm.check_preservation(_seeded_map(sf, 2, "standard", 3), GR.H, mode, strong=True)
@@ -552,7 +575,7 @@ class TestLyingKernel:
 
     @pytest.mark.parametrize("sf", (T, TI))
     def test_sticky_survivor_is_rechecked(self, monkeypatch, sf):
-        monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel: True)
+        monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel, transposes=None: True)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             lm.find_sticky(sf, lm.Randomized(seed=1, trials=3))
 
@@ -623,9 +646,9 @@ class TestDecideImages:
         grids = []
         decide = _tropfast.decide
 
-        def spy(ga, gb, rel):
-            grids.append((ga, gb))
-            return decide(ga, gb, rel)
+        def spy(ga, gb, rel, transposes=None):
+            grids.append((ga, gb, transposes))
+            return decide(ga, gb, rel, transposes)
 
         monkeypatch.setattr(_tropfast, "decide", spy)
         rng = random.Random(41)
@@ -641,13 +664,87 @@ class TestDecideImages:
                 verdict = _tropfast.decide_images(smap, scaled, rel)
                 ta, tb = lm.apply(u, a), lm.apply(u, b)
                 assert verdict == relate(ta, tb, rel), (sf, n, kind, rel)
-                common = lcm(scaled[0], smap[1])
-                ((ga, gb),) = grids
+                common = lcm(scaled[0], smap[0])
+                ((ga, gb, transposes),) = grids
+                # the images come with their transposes, so decide builds none
+                assert transposes == (_tropfast.transpose_grid(ga), _tropfast.transpose_grid(gb))
                 for grid, image in ((ga, ta), (gb, tb)):
                     lifted = [
                         [None if v is None else Fraction(v, common) for v in row] for row in grid
                     ]
                     assert lifted == _values(image), (sf, n, kind, rel)
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_images_match_reference_exhaustively(self, n):
+        # every cell map, every grid with entries in {-inf, 0, 1}: the images
+        # under coefficients at scale 2 (so fx = 2), and the verdicts on every
+        # pair under zero coefficients, whose images are such grids again
+        grids, table = _small_grids_and_verdicts(n)
+        index = {g: k for k, g in enumerate(grids)}
+        mats = [_matrix(T, g) for g in grids]
+        rng = random.Random(n)
+        zero = semiring.value(T, 0)
+
+        def half():
+            return semiring.value(T, Fraction(2 * rng.randrange(-9, 9) + 1, 2))
+
+        for perm in itertools.permutations(range(n * n)):
+            sigma = tuple(tuple(divmod(perm[i * n + j], n) for j in range(n)) for i in range(n))
+            alpha = tuple(tuple(half() for _ in range(n)) for _ in range(n))
+            u = lm.UnitPermutationMap(n, T, sigma, alpha)
+            for x, y in zip(mats, reversed(mats)):
+                assert _assert_images_match_reference(u, x, y) == (1, 2)
+            smap = _tropfast.scale_map(
+                lm.UnitPermutationMap(n, T, sigma, tuple((zero,) * n for _ in range(n)))
+            )
+            image = []
+            for g in grids:
+                flat = [None] * (n * n)
+                for k, x in enumerate(itertools.chain.from_iterable(g)):
+                    flat[perm[k]] = x
+                image.append(index[tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))])
+            for rel in _FAST_RELS:
+                for i, ga in enumerate(grids):
+                    expected = table[rel][image[i]]
+                    got = [_tropfast.decide_images(smap, (1, ga, gb), rel) for gb in grids]
+                    assert got == [expected[j] for j in image], (perm, rel, ga)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda n: st.tuples(
+                st.just(n), _pairs(T, n, (1,), (1,), blank_line=True), st.integers(0, 2**32)
+            )
+        ),
+        st.sampled_from(("standard", "transpose", "noncanonical")),
+    )
+    def test_images_match_reference_by_width(self, drawn, kind):
+        # coefficients at scale 2 and a pair shifted to scale 3 (unless it is
+        # all -inf), so both factors fc = 3 and fx = 2 are not 1
+        n, (a, b), seed = drawn
+        rng = random.Random(seed)
+
+        def half():
+            return semiring.value(T, Fraction(2 * rng.randrange(-50, 50) + 1, 2))
+
+        if kind == "noncanonical":
+            perm = list(range(n * n))
+            rng.shuffle(perm)
+            sigma = tuple(tuple(divmod(perm[i * n + j], n) for j in range(n)) for i in range(n))
+            alpha = tuple(tuple(half() for _ in range(n)) for _ in range(n))
+            u = lm.UnitPermutationMap(n, T, sigma, alpha)
+        else:
+            p_perm, q_perm = list(range(n)), list(range(n))
+            rng.shuffle(p_perm)
+            rng.shuffle(q_perm)
+            p = mx.MonomialMatrix(n, tuple(p_perm), tuple(half() for _ in range(n)))
+            ints = tuple(semiring.value(T, rng.randrange(-50, 50)) for _ in range(n))
+            q = mx.MonomialMatrix(n, tuple(q_perm), ints)
+            u = lm.synthesize(lm.CanonicalForm(p, q, kind == "transpose"), n, T)
+        third = semiring.value(T, Fraction(1, 3))
+        a, b = mx.scalar_mul(third, a), mx.scalar_mul(third, b)
+        fc, fx = _assert_images_match_reference(u, a, b)
+        assert fx == 2 and fc == (1 if mx.is_zero_matrix(a) and mx.is_zero_matrix(b) else 3)
 
     def test_common_scale_cap_boundary(self):
         cap = _tropfast.MAX_SCALE_BITS

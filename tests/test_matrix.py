@@ -1,5 +1,8 @@
 """Dense and monomial matrices: examples, round trips, exhaustive Cor-style checks."""
 
+import functools
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -76,6 +79,66 @@ class TestMatMul:
     @given(trop_matrices(), trop_matrices(), trop_matrices())
     def test_associative_tropical(self, a, b, c):
         assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+
+
+def folded_product(a, b):
+    """The reference product: each entry a fold of semiring add and mul."""
+    entries = tuple(
+        tuple(functools.reduce(sr.add, map(sr.mul, row, col)) for col in zip(*b.entries))
+        for row in a.entries
+    )
+    return mx.Matrix(a.semifield, a.rows, b.cols, entries)
+
+
+def assert_same_product(a, b):
+    got, expected = mat_mul(a, b), folded_product(a, b)
+    assert got == expected
+    # equal payloads of one type, so the JSON forms agree too
+    assert [[type(e.payload) for e in row] for row in got.entries] == [
+        [type(e.payload) for e in row] for row in expected.entries
+    ]
+
+
+@st.composite
+def tropical_factors(draw):
+    """Two conformable tropical matrices of sides 1 to 4 with mixed
+    denominators, each with maybe one all -inf line."""
+    sf = draw(st.sampled_from((T, Semifield.TROPICAL_INT)))
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+    if sf is T:
+        scalar = st.builds(Fraction, st.integers(-60, 60), st.sampled_from((1, 2, 3, 7, 12)))
+    else:
+        scalar = st.integers(-60, 60)
+    entry = st.one_of(st.just(MINUS_INF), scalar)
+
+    def grid(r, c):
+        g = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+        line = draw(st.sampled_from((None, "row", "col")))
+        if line == "row":
+            g[draw(st.integers(0, r - 1))] = [MINUS_INF] * c
+        elif line == "col":
+            k = draw(st.integers(0, c - 1))
+            for row in g:
+                row[k] = MINUS_INF
+        return mx.from_rows(sf, g)
+
+    return grid(rows, inner), grid(inner, cols)
+
+
+class TestMatMulMatchesFold:
+    """`mat_mul` folds tropical payloads directly; it must equal the fold of
+    semiring add and mul, on which the residuation decider re-verifies."""
+
+    def test_all_boolean_2x2_pairs(self):
+        mats = list(all_boolean_matrices(2, 2))
+        for a in mats:
+            for b in mats:
+                assert_same_product(a, b)
+
+    @settings(max_examples=100)
+    @given(tropical_factors())
+    def test_tropical_carriers(self, factors):
+        assert_same_product(*factors)
 
 
 class TestUnitsAndTranspose:
