@@ -20,11 +20,10 @@ table the reference decider composes by.  `leq_l` runs a kernel written
 for one width: `_leq_source` writes out the column loop of one template,
 so each entry is a local variable.  The source is made from the int
 width alone and compiled on first use, never at import; `_leq_kernel`
-keeps one kernel per width for the life of the module.  Widths are
-bounded by the callers: ``matrix.MAX_MATRIX_SIDE`` = 16 on the command
-line and ``verify.MAX_TROPICAL_N`` = 8 in the suites, so the cache holds
-at most 16 entries.  A kernel compiles in 0.4 ms at width 3 and 1.6 ms
-at width 16 (a 2-vCPU Xeon VM, Python 3.11.7).
+keeps one kernel per width for the life of the module.  `kernel_grids`
+admits no side above ``matrix.MAX_MATRIX_SIDE`` = 16, so the program
+compiles at most 16 kernels.  A kernel compiles in 0.4 ms at width 3
+and 1.6 ms at width 16 (a 2-vCPU Xeon VM, Python 3.11.7).
 
 Grids are tuples of rows, with ``None`` for -inf.  Three kinds of
 caller use the kernel:
@@ -32,12 +31,12 @@ caller use the kernel:
 * the two randomized map loops, the ``corollaries`` suite of the verify
   module and the randomized preservation and exchange checks of the
   linear_maps module, scale each map once (`scale_map`) and each pair
-  once (`kernel_grids`).  `decide_images` meets the two at their common
-  scale in the image function of the pair's width, which writes both
-  images in row orientation and transposed, and `decide` reads the
-  transposes it is handed for the leqR part.  Only a counterexample, or
-  a pair the kernel does not take, has its images built as `Matrix`
-  objects;
+  once (`kernel_grids`); ``linear_maps.first_counterexample`` decides
+  their pairs.  `decide_images` meets the two scales in the image
+  function of the pair's width, which writes both images in row
+  orientation and transposed, and `decide` reads the transposes for the
+  leqR part.  Only a counterexample, or a pair the kernel does not take,
+  has its images built as `Matrix` objects;
 * callers holding two `Matrix` objects go through `decide_matrices`.
   These are the fallback of the map loops, the sticky search of the
   linear_maps module, and the rejection tests of the sampling module;
@@ -55,9 +54,9 @@ destination order, so no map is ever compiled: there are up to
 4.6 ms at width 8 and 19 ms at width 16 (same VM).
 
 A pair reaches the kernel only where `kernel_grids` admits it: the
-tropical carriers, the relations above, square matrices of one size, and
-a common scale of at most MAX_SCALE_BITS bits (`_capped_scale`, which
-`decide_images` applies again to the scale the pair shares with a map).
+tropical carriers, the relations above, square matrices of one size up
+to 16, and a common scale of at most MAX_SCALE_BITS bits (`_capped_scale`),
+which also bounds the scale `decide_images` gives a pair and a map.
 Everything else (the boolean carrier, D, J, leqJ, invalid input) goes to
 the green module, and so do over-cap pairs: the lcm of many large
 distinct denominators grows with their sum, and integer residuation at
@@ -86,10 +85,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 from . import green
-from .matrix import Matrix
+from .matrix import MAX_MATRIX_SIDE, Matrix
 from .green import GreenRelation, relate
 from .semiring import MINUS_INF, Semifield, SemifieldValue
 
@@ -182,16 +181,16 @@ def kernel_grids(a: Matrix, b: Matrix, rel: GreenRelation) -> tuple | None:
     scale ``L`` when the kernel decides ``a rel b``, else None.
 
     The kernel takes L, R, H, leqL and leqR on square matrices of one size
-    over one tropical carrier whose common scale fits in MAX_SCALE_BITS.
-    Everything else (the boolean carrier, D, J, leqJ, mixed carriers,
-    mismatched or non-square sizes and over-cap scales) belongs to the
-    green module, which also raises the errors for invalid input.
+    up to MAX_MATRIX_SIDE over one tropical carrier whose common scale fits
+    in MAX_SCALE_BITS.  Everything else (the boolean carrier, D, J, leqJ,
+    mixed carriers, other sizes and over-cap scales) belongs to the green
+    module, which also raises the errors for invalid input.
     """
     if not (
         rel in KERNEL_RELATIONS
         and a.semifield.is_tropical
         and a.semifield is b.semifield
-        and a.rows == a.cols == b.rows == b.cols
+        and a.rows == a.cols == b.rows == b.cols <= MAX_MATRIX_SIDE
     ):
         return None
     # payloads are Fractions or, over tropical_int, ints (denominator 1)
@@ -514,22 +513,19 @@ def decide_images(smap: tuple, scaled: tuple | None, rel: GreenRelation) -> bool
     ``smap`` is the map from `scale_map` and ``scaled`` the pair from
     `kernel_grids`, None when the kernel does not take the pair.  With
     coefficients at ``L_u`` and the pair at ``L_ab``, the factors
-    ``fc = M // L_u`` and ``fx = M // L_ab`` for ``M = lcm(L_ab, L_u)``
-    give both images at scale ``M``; None also when M passes
-    MAX_SCALE_BITS.  The image function writes both images in both
-    orientations, so `decide` transposes nothing.
+    ``fc = L_ab // g`` and ``fx = L_u // g`` for ``g = gcd(L_ab, L_u)``
+    give both images at scale ``M = lcm(L_ab, L_u) = L_u * fc``; None also
+    when M passes MAX_SCALE_BITS.  The image function writes both images
+    in both orientations, so `decide` transposes nothing.
     """
     if scaled is None:
         return None
     scale_u, inv, coeffs = smap
     scale_ab, ga, gb = scaled
-    if scale_u == scale_ab:
-        fc = fx = 1
-    else:
-        common = _capped_scale((scale_ab, scale_u))
-        if common is None:
-            return None
-        fc, fx = common // scale_u, common // scale_ab
+    g = gcd(scale_ab, scale_u)
+    fc, fx = scale_ab // g, scale_u // g
+    if (scale_u * fc).bit_length() > MAX_SCALE_BITS:
+        return None
     ia, ib, ta, tb = _image_kernel(len(ga))(ga, gb, inv, coeffs, fc, fx)
     return decide(ia, ib, rel, (ta, tb))
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from . import semiring
 from .green import (
+    BOUNDED_SEARCH,
     MAX_BOUNDED_N,
     GreenRelation,
     decidable_over,
@@ -368,6 +369,10 @@ def _randomized_pre(u: UnitPermutationMap, rels) -> None:
                 f"{r.value} is not decidable over {u.semifield.value}; "
                 "randomized checking cannot condition on it"
             )
+        if r in BOUNDED_SEARCH and u.n > MAX_BOUNDED_N:
+            raise UnsupportedMode(
+                f"randomized check of {r.value} is limited to n <= {MAX_BOUNDED_N}"
+            )
 
 
 def check_preservation(
@@ -435,7 +440,7 @@ def _check_exhaustive(u, name, strong, directions, texts, passed) -> Verdict:
     a, b, k, holds = hit
     src, dst = directions[k]
     ma, mb = sp.matrix_of(a), sp.matrix_of(b)
-    cx = _reverified_counterexample(ma, mb, apply(u, ma), apply(u, mb), src, dst, holds, texts)
+    cx = _reverified_counterexample(u, ma, mb, src, dst, holds, texts)
     return Verdict(name, "Counterexample", "exhaustive", checked, cx)
 
 
@@ -449,10 +454,8 @@ def _check_randomized(
 ) -> Verdict:
     """Seeded related (and in strong mode unrelated) pairs for each direction.
 
-    The map is scaled once and each pair once, and the images are decided
-    by `images_related`, on the integer kernel wherever it applies.  A
-    counterexample is re-decided by the reference decider, premise and
-    conclusion, before it is reported.
+    The map is scaled once and each pair once, and each pair is checked
+    by `first_counterexample` as soon as it is drawn.
     """
     rng = random.Random(mode.seed)
     smap = _tropfast.scale_map(u)
@@ -464,37 +467,40 @@ def _check_randomized(
                 pair = draw(rng, u.semifield, u.n, src)
                 if pair is None:  # the unrelated draw gave up
                     continue
-                a, b = pair
+                scaled = _tropfast.kernel_grids(*pair, dst)
                 checked += 1
-                if images_related(u, smap, a, b, _tropfast.kernel_grids(a, b, dst), dst) == holds:
-                    continue
-                cx = _reverified_counterexample(
-                    a, b, apply(u, a), apply(u, b), src, dst, holds, texts
-                )
-                return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
+                _, cx = first_counterexample(u, smap, [pair], [scaled], src, dst, holds, texts)
+                if cx is not None:
+                    return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
     return Verdict(name, "NoCounterexampleFound", "randomized", checked, None, mode.seed)
 
 
-def images_related(
-    u: UnitPermutationMap, smap: tuple, a: Matrix, b: Matrix, scaled: tuple | None,
-    rel: GreenRelation,
-) -> bool:
-    """``u(a) rel u(b)``, for ``smap = _tropfast.scale_map(u)`` and ``scaled``
-    the pair as `_tropfast.kernel_grids` returns it.
+def first_counterexample(
+    u: UnitPermutationMap, smap: tuple, pairs: list, scaled: list, src: GreenRelation,
+    dst: GreenRelation, holds: bool, texts: tuple[str, str],
+) -> tuple[int, CounterexamplePair | None]:
+    """The count of ``pairs`` checked, and the first ``(a, b)`` among them
+    with ``u(a) dst u(b)`` not ``holds`` as a `_reverified_counterexample`,
+    or None.  Both randomized map loops decide their pairs here.
 
-    Decided by `_tropfast.decide_images` wherever it applies, else by
-    `_tropfast.decide_matrices` on the images built by `apply`.
+    ``smap`` is `_tropfast.scale_map(u)` and ``scaled`` holds each pair as
+    `_tropfast.kernel_grids` returns it.  Where `_tropfast.decide_images`
+    does not apply, the images built by `apply` are decided instead.
     """
-    verdict = _tropfast.decide_images(smap, scaled, rel)
-    if verdict is None:
-        return _tropfast.decide_matrices(apply(u, a), apply(u, b), rel)
-    return verdict
+    for checked, ((a, b), grids) in enumerate(zip(pairs, scaled), 1):
+        verdict = _tropfast.decide_images(smap, grids, dst)
+        if verdict is None:
+            verdict = _tropfast.decide_matrices(apply(u, a), apply(u, b), dst)
+        if verdict != holds:
+            return checked, _reverified_counterexample(u, a, b, src, dst, holds, texts)
+    return len(pairs), None
 
 
-def _reverified_counterexample(a, b, ta, tb, src, dst, holds: bool, texts):
+def _reverified_counterexample(u, a, b, src, dst, holds: bool, texts):
     """A counterexample to ``a src b => T(a) dst T(b)`` (holds) or to its
     converse, once the reference decider agrees on premise and conclusion.
     The witness certifies whichever side is related."""
+    ta, tb = apply(u, a), apply(u, b)
     _tropfast.reverify(a, b, src, holds)
     _tropfast.reverify(ta, tb, dst, not holds)
     witness = relate_witness(a, b, src) if holds else relate_witness(ta, tb, dst)

@@ -28,13 +28,12 @@ from .linear_maps import (
     NotBijective,
     Randomized,
     UnitPermutationMap,
-    apply,
     cell_shape,
     check_exchange,
     check_preservation,
     extract_unit_form,
     find_sticky,
-    images_related,
+    first_counterexample,
     synthesize,
 )
 from .matrix import NotMonomial, matrix_to_json, monomial_to_json, try_monomial
@@ -466,12 +465,11 @@ def _corollaries_randomized(params: SuiteParams):
     decidable over the carrier (L, R, leqL, leqR and H over a tropical one)
     to its `IMAGE_RELATION` target.
 
-    Pair pools are shared across the monomial pairs.  The bulk checks run
-    on the integer max-plus kernel through `images_related`: each pair is
-    scaled once to its own lcm of denominators, each map's coefficients
-    once to theirs, and both meet at the lcm of the two while the map is
-    applied.  Any apparent failure is re-verified against the reference
-    decider, premise and conclusion, before being reported.
+    Pair pools are shared across the monomial pairs.  Each pair is scaled
+    once to its own lcm of denominators and each map's coefficients once
+    to theirs, and `first_counterexample` decides each (map, relation) on
+    the pool, re-verifying any failure against the reference decider,
+    premise and conclusion, before it is reported.
     """
     sf, n = params.semifield, params.n
     rng = random.Random(params.seed)
@@ -494,12 +492,12 @@ def _corollaries_randomized(params: SuiteParams):
             smap = _tropfast.scale_map(u)
             for rel in pool_rels:
                 target = image[rel]
-                for (a, b), scaled in zip(pools[rel], scaled_pools[rel]):
-                    pair_checks += 1
-                    if images_related(u, smap, a, b, scaled, target):
-                        continue
-                    _tropfast.reverify(a, b, rel, True)
-                    _tropfast.reverify(apply(u, a), apply(u, b), target, False)
+                checked, cx = first_counterexample(
+                    u, smap, pools[rel], scaled_pools[rel], rel, target, True,
+                    ("not {}-related", "{}-related"),
+                )
+                pair_checks += checked
+                if cx is not None:
                     witnesses.append(
                         {
                             "monomial_pair_index": idx,
@@ -508,10 +506,9 @@ def _corollaries_randomized(params: SuiteParams):
                             "q": monomial_to_json(q),
                             "relation": rel.value,
                             "target": target.value,
-                            "pair": [matrix_to_json(a), matrix_to_json(b)],
+                            "pair": [matrix_to_json(cx.a), matrix_to_json(cx.b)],
                         }
                     )
-                    break
     counts = {
         "monomial_pairs": params.monomial_pairs,
         "pairs_per_relation": per_rel,

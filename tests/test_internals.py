@@ -516,6 +516,21 @@ class TestDecideMatrices:
             for rel in GR:
                 assert _tropfast.decide_matrices(a, b, rel) == relate(a, b, rel), rel
 
+    def test_wider_than_max_side_goes_to_reference(self):
+        # a 17x17 pair gets the reference verdict and compiles no kernel;
+        # a pair of the widest side MAX_MATRIX_SIDE admits still reaches it
+        rng = random.Random(23)
+        side = mx.MAX_MATRIX_SIDE
+        wide = sampling.random_matrix(rng, T, side + 1)
+        left = mat_mul(sampling.random_matrix(rng, T, side + 1), wide)
+        compiled = _tropfast._leq_kernel.cache_info().currsize
+        for a, b in ((wide, wide), (left, wide)):
+            assert _tropfast.kernel_grids(a, b, GR.H) is None
+            _assert_dispatch_matches_reference(a, b)
+        assert _tropfast._leq_kernel.cache_info().currsize == compiled
+        square = sampling.random_matrix(rng, T, side)
+        assert _tropfast.kernel_grids(square, square, GR.H) is not None
+
     def test_invalid_inputs_raise_as_the_reference_does(self):
         a = _matrix(T, [[0, 1], [2, None]])
         with pytest.raises(MixedSemifields):
@@ -586,6 +601,25 @@ class TestLyingKernel:
         u = _seeded_map(T, 2, "standard", 5)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             lm.check_preservation(u, GR.L, lm.Randomized(seed=0, trials=20))
+
+    @pytest.mark.parametrize("sf", (T, TI))
+    def test_corollaries_recheck_the_conclusion_of_a_failure(self, monkeypatch, sf):
+        # the kernel calls every image pair unrelated; the pool pair is
+        # related by construction, so its premise passes the re-check and
+        # the conclusion is the one the reference decider refutes
+        monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel, transposes=None: False)
+        expected = []
+        reverify = _tropfast.reverify
+
+        def recording(a, b, rel, want):
+            expected.append(want)
+            return reverify(a, b, rel, want)
+
+        monkeypatch.setattr(_tropfast, "reverify", recording)
+        params = SuiteParams(semifield=sf, n=2, seed=1, trials=5, monomial_pairs=1)
+        with pytest.raises(AssertionError, match="disagrees with the reference"):
+            run_suite("corollaries", params)
+        assert expected == [True, False]
 
     @pytest.mark.parametrize("sf", (T, TI))
     def test_corollaries_recheck_the_premise_of_a_failure(self, monkeypatch, sf):
@@ -786,11 +820,9 @@ class TestDecideImages:
         def check():
             return lm.check_preservation(u, GR.H, mode, strong=True)
 
-        def reference(u, smap, a, b, scaled, rel):
-            return relate(lm.apply(u, a), lm.apply(u, b), rel)
-
         with monkeypatch.context() as m:
-            m.setattr(lm, "images_related", reference)
+            m.setattr(_tropfast, "decide_images", lambda smap, scaled, rel: None)
+            m.setattr(_tropfast, "decide_matrices", relate)
             expected = _verdict_text(check())
         verdicts, applied = [], []
         _spy(monkeypatch, _tropfast, "decide_images", verdicts)

@@ -405,6 +405,14 @@ class TestPreservation:
             check_preservation(identity_map(2, T), GR.D, Randomized(seed=1, trials=10))
 
     @pytest.mark.parametrize("rel", [GR.D, GR.J, GR.LEQ_J])
+    def test_randomized_bounded_relations_limited_to_n3(self, rel):
+        """Rejected up front, as the exhaustive check does, not mid-check."""
+        with pytest.raises(UnsupportedMode, match=r"^randomized check of .* n <= 3$"):
+            check_preservation(identity_map(4, B), rel, Randomized(seed=1, trials=3))
+        with pytest.raises(UnsupportedMode, match=r"^randomized check of .* n <= 3$"):
+            check_exchange(identity_map(4, B), Randomized(seed=1, trials=3), pair=(GR.L, rel))
+
+    @pytest.mark.parametrize("rel", [GR.D, GR.J, GR.LEQ_J])
     def test_exhaustive_n3_bounded_relations(self, rel):
         """D, J and leqJ are checked over all 512x512 pairs at n=3, like the rest."""
         v = check_preservation(transposition_map(3, B), rel, Exhaustive(), strong=True)
