@@ -15,11 +15,12 @@ scaled magnitudes reach about 127 bits at the sampler's sizes, beyond
 any fixed-width type, and floats are never used.
 
 The kernel decides leqL by `leq_l` and leqR by `leq_l` on the transposes,
-and composes L, R and H from them by ``green.EQUIVALENCE_PARTS``, the
-table the reference decider composes by.  `leq_l` runs a kernel written
-for one width: `_leq_source` writes out the column loop of one template,
-so each entry is a local variable.  The source is made from the int
-width alone and compiled on first use, never at import; `_leq_kernel`
+as ``green.PREORDERS`` orients them, and composes L, R and H from them by
+``green.EQUIVALENCE_PARTS``: the two tables the reference decider reads.
+`leq_l` runs a kernel written for one width: `_leq_source` writes out
+the column loop of one template, so each entry is a local variable.  The
+source is made from the int width alone and compiled on first use, never
+at import; `_leq_kernel`
 keeps one kernel per width for the life of the module.  `kernel_grids`
 admits no side above ``matrix.MAX_MATRIX_SIDE`` = 16, so the program
 compiles at most 16 kernels.  A kernel compiles in 0.4 ms at width 3
@@ -94,17 +95,14 @@ from .semiring import MINUS_INF, Semifield, SemifieldValue
 
 _TOP = object()
 
-#: The one orientation step: leqL is `leq_l`, and leqR is `leq_l` on the
-#: transposes, its multiplier transposed back.  (witness key, transposed)
-_PREORDERS = {GreenRelation.LEQ_L: ("s", False), GreenRelation.LEQ_R: ("t", True)}
-
 #: Each kernel relation as (oriented pre-orders, needed both ways): the two
-#: pre-orders, and the equivalences ``green.EQUIVALENCE_PARTS`` builds from them.
-_COMPOSED = {rel: ((_PREORDERS[rel],), False) for rel in _PREORDERS}
+#: pre-orders of ``green.PREORDERS``, as (witness key, transposed), and the
+#: equivalences ``green.EQUIVALENCE_PARTS`` builds from them.
+_COMPOSED = {rel: ((oriented,), False) for rel, oriented in green.PREORDERS.items()}
 _COMPOSED.update(
-    (rel, (tuple(_PREORDERS[p] for p in parts), True))
+    (rel, (tuple(green.PREORDERS[p] for p in parts), True))
     for rel, parts in green.EQUIVALENCE_PARTS.items()
-    if _PREORDERS.keys() >= set(parts)
+    if green.PREORDERS.keys() >= set(parts)
 )
 
 #: The relations the integer kernel decides.
@@ -276,7 +274,7 @@ def _compiled(source: str, filename: str, name: str):
 
 def leq_l(agrid: tuple, bgrid: tuple) -> bool:
     """a leqL b on integer grids, row by row of a.  leqR is this on the
-    transposes (`_PREORDERS`).
+    transposes (``green.PREORDERS``).
 
     The principal solution of ``s*b = a`` is ``s_k = min_j (a_ij - b_kj)``
     over the finite ``b_kj``, and always ``s*b <= a``.  Equality needs

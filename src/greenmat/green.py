@@ -8,6 +8,8 @@ solvable iff that principal solution attains equality.
 The equivalences L, R, H and J are composed from the pre-orders in one
 place, EQUIVALENCE_PARTS, which the integer kernel of _tropfast also
 reads: each listed pre-order must hold from a to b and from b to a.
+Likewise PREORDERS states once that leqR is leqL on the transposes and
+which witness key each of the two carries.
 
 D, J and the J-pre-order have no residuation characterisation here.
 They are decided over the boolean semifield only, for sizes up to 3,
@@ -56,6 +58,11 @@ EQUIVALENCE_PARTS = {
     GreenRelation.H: (GreenRelation.LEQ_L, GreenRelation.LEQ_R),
     GreenRelation.J: (GreenRelation.LEQ_J,),
 }
+
+#: The residuation pre-orders as (witness key, transposed): leqL is decided
+#: on (a, b), its witness "s" with a = s*b; leqR is leqL on the transposes,
+#: its witness "t" with a = b*t the multiplier transposed back.
+PREORDERS = {GreenRelation.LEQ_L: ("s", False), GreenRelation.LEQ_R: ("t", True)}
 
 #: Relations decided over the boolean semifield only, by _boolspace keys.
 BOUNDED_SEARCH = frozenset({GreenRelation.D, GreenRelation.J, GreenRelation.LEQ_J})
@@ -174,12 +181,12 @@ def relate_witness(a: Matrix, b: Matrix, rel: GreenRelation) -> dict | None:
 
 def _direct_witness(a: Matrix, b: Matrix, rel: GreenRelation) -> dict | None:
     """The witness of a pre-order or of D, which are not composed."""
-    if rel is GreenRelation.LEQ_L:
-        ok, s = _leq_l(a, b)
-        return {"s": s} if ok else None
-    if rel is GreenRelation.LEQ_R:
-        ok, s = _leq_l(transpose(a), transpose(b))
-        return {"t": transpose(s)} if ok else None
+    if rel in PREORDERS:
+        key, transposed = PREORDERS[rel]
+        ok, s = _leq_l(transpose(a), transpose(b)) if transposed else _leq_l(a, b)
+        if not ok:
+            return None
+        return {key: transpose(s) if transposed else s}
     if rel is GreenRelation.D:
         return _boolean_d_witness(a, b)
     if rel is GreenRelation.LEQ_J:

@@ -87,23 +87,24 @@ class SemifieldValue:
 def value(semifield: Semifield, raw) -> SemifieldValue:
     """Build a value from a raw payload, canonicalizing it.
 
-    Accepts ints (and Fractions over TROPICAL) or MINUS_INF; floats are
-    rejected outright to keep the arithmetic exact.
+    Accepts int or bool 0 and 1 over BOOLEAN; ints (and Fractions over
+    TROPICAL), not bools, or MINUS_INF over the tropical carriers.  Floats
+    and text are rejected outright to keep the arithmetic exact.
     """
     if semifield is Semifield.BOOLEAN:
-        if isinstance(raw, bool):
-            raw = int(raw)
+        if not isinstance(raw, int):
+            raise TypeError(f"boolean payload must be an int, got {raw!r}")
         if raw not in (0, 1):
             raise ValueError(f"boolean payload must be 0 or 1, got {raw!r}")
-        return SemifieldValue(semifield, raw)
+        return SemifieldValue(semifield, int(raw))
     if raw is MINUS_INF:
         return SemifieldValue(semifield, MINUS_INF)
-    if isinstance(raw, float):
-        raise TypeError("floating-point payloads are not allowed")
+    kinds = (int, Fraction) if semifield is Semifield.TROPICAL else (int,)
+    if isinstance(raw, bool) or not isinstance(raw, kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise TypeError(f"{semifield.value} payload must be an {names}, got {raw!r}")
     if semifield is Semifield.TROPICAL:
         return SemifieldValue(semifield, Fraction(raw))
-    if not isinstance(raw, int) or isinstance(raw, bool):
-        raise TypeError(f"tropical_int payload must be an int, got {raw!r}")
     return SemifieldValue(semifield, raw)
 
 

@@ -94,6 +94,18 @@ class TestExamples:
         with pytest.raises(TypeError):
             sr.value(T, 0.5)
 
+    @pytest.mark.parametrize(
+        "sf, raw", [(B, 1.0), (T, True), (TI, True), (T, "1/2"), (TI, "1/2")]
+    )
+    def test_inexact_payloads_rejected(self, sf, raw):
+        with pytest.raises(TypeError, match=f"^{sf.value} payload must be an int"):
+            sr.value(sf, raw)
+
+    def test_boolean_accepts_int_and_bool(self):
+        assert sr.value(B, True) == sr.value(B, 1) == sr.one(B)
+        assert sr.format_value(sr.value(B, True)) == "1"
+        assert sr.value(B, False) == sr.zero(B)
+
 
 @pytest.mark.parametrize("sf", ALL)
 class TestLaws:

@@ -9,7 +9,7 @@ import pytest
 from greenmat import _boolspace, verify
 from greenmat.eggbox import eggbox, eggbox_to_dot, eggbox_to_json
 from greenmat.green import GreenRelation, relate
-from greenmat.matrix import matrix_to_json
+from greenmat.matrix import matrix_from_json, matrix_to_json
 from greenmat.semiring import Semifield
 from greenmat.verify import (
     SuiteParams,
@@ -254,7 +254,48 @@ class TestTheoremSuites:
         assert r.counts["maps_classified"] == 362880
         assert r.counts["standard"] == 36
         assert r.counts["transpose"] == 36
+        assert r.counts["probe_refuted"] + r.counts["table_checks"] == 3 * r.counts["sampled_maps"]
         assert r.counts["discrepancies"] == 0
+
+    def test_t1_sampled_decides_unrefuted_maps_by_table(self):
+        # seed 6 samples one standard map (L, R and H preserved) and one
+        # transpose map (H preserved); no probe refutes these four verdicts
+        r = run_suite("t1", SuiteParams(semifield=B, n=3, seed=6))
+        assert r.passed
+        assert r.counts["probe_pairs"] == 45
+        assert r.counts["table_checks"] == 4
+        assert r.counts["probe_refuted"] + r.counts["table_checks"] == 3 * r.counts["sampled_maps"]
+        assert r.counts["discrepancies"] == 0
+
+    def test_t1_sampled_ignores_trials(self):
+        reports = [
+            run_suite("t1", SuiteParams(semifield=B, n=3, seed=6, trials=trials)).to_json_dict()
+            for trials in (1, 10_000)
+        ]
+        assert reports[0] == reports[1]
+
+    def test_t1_sampled_verdicts_do_not_rest_on_the_probes(self, monkeypatch):
+        monkeypatch.setattr(verify, "_probe_pairs", lambda sp, rel: [])
+        monkeypatch.setattr(verify, "T1_MAP_SAMPLES", 4)
+        r = run_suite("t1", SuiteParams(semifield=B, n=3, seed=42))
+        assert r.passed
+        assert r.counts["sampled_maps"] == 4
+        assert r.counts["probe_pairs"] == r.counts["probe_refuted"] == 0
+        assert r.counts["table_checks"] == 3 * 4
+        assert r.counts["discrepancies"] == 0
+        # claiming every map a preserver turns each table counterexample
+        # into a witness, whose pair is related and whose images are not
+        monkeypatch.setattr(verify, "_preserves", lambda shape, rels: True)
+        r = run_suite("t1", SuiteParams(semifield=B, n=3, seed=42))
+        assert not r.passed and r.counts["discrepancies"] == len(r.witnesses) == 12
+        sp = _boolspace.space(3)
+        for w in r.witnesses:
+            rel = GreenRelation(w["relation"])
+            a, b = (_boolspace.matrix_to_index(matrix_from_json(m)) for m in w["pair"])
+            cells = tuple(w["map_cells"])
+            assert relate(sp.matrix_of(a), sp.matrix_of(b), rel)
+            images = (sp.matrix_of(_boolspace.act_on_bits(cells, m)) for m in (a, b))
+            assert not relate(*images, rel)
 
 
 class TestEggbox:
