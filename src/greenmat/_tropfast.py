@@ -11,8 +11,8 @@ and the residuals ``x - y`` of integers are integers: the principal
 solution and the check that it attains equality never leave Z (see
 Butkovic, *Max-linear Systems*, on residuation).  The integer carrier is
 the case ``L = 1``.  Values stay Python ints, which grow as needed:
-scaled magnitudes reach about 127 bits at the sampler's sizes, beyond
-any fixed-width type, and floats are never used.
+entries of sampled pairs reach about 150 bits at n = 3 and 510 at
+n = 8, beyond any fixed-width type, and floats are never used.
 
 The kernel decides leqL by `leq_l` and leqR by `leq_l` on the transposes,
 as ``green.PREORDERS`` orients them, and composes L, R and H from them by
@@ -21,26 +21,32 @@ as ``green.PREORDERS`` orients them, and composes L, R and H from them by
 the column loop of one template, so each entry is a local variable.  The
 source is made from the int width alone and compiled on first use, never
 at import; `_leq_kernel`
-keeps one kernel per width for the life of the module.  `kernel_grids`
+keeps one kernel per width for the life of the module.  `kernel_scale`
 admits no side above ``matrix.MAX_MATRIX_SIDE`` = 16, so the program
 compiles at most 16 kernels.  A kernel compiles in 0.4 ms at width 3
 and 1.6 ms at width 16 (a 2-vCPU Xeon VM, Python 3.11.7).
 
-Grids are tuples of rows, with ``None`` for -inf.  Three kinds of
-caller use the kernel:
+Grids are tuples of rows, with ``None`` for -inf.  Pairs are drawn on
+these integers: the sampling module draws, multiplies and
+rejection-tests matrices as grids, and hands out a pair as ``(L, a, b)``
+at one common scale, the form `kernel_grids` gives two matrices.  A
+drawn pair becomes `Matrix` objects only when it is lifted (`lift`).
+Four kinds of caller use the kernel:
 
+* the sampler decides its rejection tests on its own grids (`decide`);
 * the two randomized map loops, the ``corollaries`` suite of the verify
   module and the randomized preservation and exchange checks of the
-  linear_maps module, scale each map once (`scale_map`) and each pair
-  once (`kernel_grids`); ``linear_maps.first_counterexample`` decides
-  their pairs.  `decide_images` meets the two scales in the image
+  linear_maps module, scale each map once (`scale_map`) and take each
+  pair as the sampler drew it; ``linear_maps.first_counterexample``
+  decides their pairs.  `decide_images` meets the two scales in the image
   function of the pair's width, which writes both images in row
   orientation and transposed, and `decide` reads the transposes for the
   leqR part.  Only a counterexample, or a pair the kernel does not take,
-  has its images built as `Matrix` objects;
+  is lifted and has its images built as `Matrix` objects;
 * callers holding two `Matrix` objects go through `decide_matrices`.
   These are the fallback of the map loops, the sticky search of the
-  linear_maps module, and the rejection tests of the sampling module;
+  linear_maps module, and the sampler's tests on pairs the kernel does
+  not take (the boolean carrier, D, J and leqJ);
 * ``greenmat relate`` goes through `relate_witness`, which also builds
   the witness as the integer principal solution (`principal_solution`)
   and multiplies it out on integers (`max_plus`) before returning it.
@@ -54,10 +60,12 @@ destination order, so no map is ever compiled: there are up to
 ``2*(n!)**2`` canonical maps alone.  It compiles in 0.8 ms at width 3,
 4.6 ms at width 8 and 19 ms at width 16 (same VM).
 
-A pair reaches the kernel only where `kernel_grids` admits it: the
-tropical carriers, the relations above, square matrices of one size up
-to 16, and a common scale of at most MAX_SCALE_BITS bits (`_capped_scale`),
-which also bounds the scale `decide_images` gives a pair and a map.
+A pair reaches the kernel only where `kernel_scale` admits it, the one
+statement of the rule that `kernel_grids`, the sampler and the map loops
+read: the tropical carriers, the relations above, square matrices of one
+size up to 16, and a common scale of at most MAX_SCALE_BITS bits
+(`_capped_scale`), which also bounds the scale `decide_images` gives a
+pair and a map.
 Everything else (the boolean carrier, D, J, leqJ, invalid input) goes to
 the green module, and so do over-cap pairs: the lcm of many large
 distinct denominators grows with their sum, and integer residuation at
@@ -88,7 +96,7 @@ from functools import cache
 from itertools import chain
 from math import gcd, lcm
 
-from . import green
+from . import green, semiring
 from .matrix import MAX_MATRIX_SIDE, Matrix
 from .green import GreenRelation, relate
 from .semiring import MINUS_INF, Semifield, SemifieldValue
@@ -174,25 +182,37 @@ def _capped_scale(dens: set | tuple) -> int | None:
     return scale
 
 
+def kernel_scale(
+    semifield: Semifield, rel: GreenRelation, side: int, dens: set | tuple
+) -> int | None:
+    """The rule by which a pair reaches the kernel: the pair's common scale
+    ``lcm(dens)`` when the kernel decides ``a rel b`` for two side-by-side
+    matrices over ``semifield``, else None.
+
+    The kernel takes L, R, H, leqL and leqR over the tropical carriers, up
+    to MAX_MATRIX_SIDE, at a scale of at most MAX_SCALE_BITS bits.  ``dens``
+    holds the pair's distinct denominators, or the pair's scale alone where
+    it is at one already; with none, the rule is that for the carrier,
+    relation and side alone.
+    """
+    if rel in KERNEL_RELATIONS and semifield.is_tropical and side <= MAX_MATRIX_SIDE:
+        return _capped_scale(dens)
+    return None
+
+
 def kernel_grids(a: Matrix, b: Matrix, rel: GreenRelation) -> tuple | None:
     """``(L, a, b)`` with ``a`` and ``b`` as integer grids at their common
-    scale ``L`` when the kernel decides ``a rel b``, else None.
+    scale ``L`` when the kernel decides ``a rel b`` (`kernel_scale`), else
+    None.
 
-    The kernel takes L, R, H, leqL and leqR on square matrices of one size
-    up to MAX_MATRIX_SIDE over one tropical carrier whose common scale fits
-    in MAX_SCALE_BITS.  Everything else (the boolean carrier, D, J, leqJ,
+    Everything the kernel does not take (the boolean carrier, D, J, leqJ,
     mixed carriers, other sizes and over-cap scales) belongs to the green
     module, which also raises the errors for invalid input.
     """
-    if not (
-        rel in KERNEL_RELATIONS
-        and a.semifield.is_tropical
-        and a.semifield is b.semifield
-        and a.rows == a.cols == b.rows == b.cols <= MAX_MATRIX_SIDE
-    ):
+    if not (a.semifield is b.semifield and a.rows == a.cols == b.rows == b.cols):
         return None
     # payloads are Fractions or, over tropical_int, ints (denominator 1)
-    scale = _capped_scale({
+    scale = kernel_scale(a.semifield, rel, a.rows, {
         e.payload.denominator
         for m in (a, b) for row in m.entries for e in row if e.payload is not MINUS_INF
     })
@@ -392,16 +412,21 @@ def relate_witness(a: Matrix, b: Matrix, rel: GreenRelation) -> dict | None:
             s = principal_solution(p, q)
             if max_plus(s, q) != p:
                 raise AssertionError(f"{key}{suffix} witness from the kernel fails to multiply out")
-            witness[key + suffix] = _lift(a.semifield, scale, transpose_grid(s) if transposed else s)
+            witness[key + suffix] = lift(a.semifield, scale, transpose_grid(s) if transposed else s)
     return witness
 
 
-def _lift(sf: Semifield, scale: int, grid: tuple) -> Matrix:
-    """The Matrix over ``sf`` of an integer grid at scale ``scale``
-    (always 1 over tropical_int, whose payloads are ints)."""
-    zero = SemifieldValue(sf, MINUS_INF)
-    ints = sf is Semifield.TROPICAL_INT
+def lift(sf: Semifield, scale: int, grid: tuple) -> Matrix:
+    """The Matrix over ``sf`` of an integer grid at scale ``scale``: the
+    payload ``v/scale`` for each int ``v`` (``v`` itself over tropical_int,
+    whose scale is 1), zero for None.  The boolean carrier is its copy
+    {None, 0} inside max-plus, at scale 1: 0 is one."""
+    zero = semiring.zero(sf)
     n = len(grid)
+    if sf is Semifield.BOOLEAN:
+        one = semiring.one(sf)
+        return Matrix(sf, n, n, tuple(tuple(zero if v is None else one for v in row) for row in grid))
+    ints = sf is Semifield.TROPICAL_INT
     return Matrix(sf, n, n, tuple(
         tuple(
             zero if v is None else SemifieldValue(sf, v if ints else Fraction(v, scale))
@@ -505,19 +530,18 @@ def scale_map(u) -> tuple[int, tuple[int, ...], tuple]:
     return (scale, *_destination_order(cells, icoeffs))
 
 
-def decide_images(smap: tuple, scaled: tuple | None, rel: GreenRelation) -> bool | None:
-    """Decide ``T(a) rel T(b)`` on the kernel, or None where it does not apply.
+def decide_images(smap: tuple, scaled: tuple, rel: GreenRelation) -> bool | None:
+    """Decide ``T(a) rel T(b)`` on the kernel, or None when the common
+    scale of map and pair passes MAX_SCALE_BITS.
 
-    ``smap`` is the map from `scale_map` and ``scaled`` the pair from
-    `kernel_grids`, None when the kernel does not take the pair.  With
-    coefficients at ``L_u`` and the pair at ``L_ab``, the factors
-    ``fc = L_ab // g`` and ``fx = L_u // g`` for ``g = gcd(L_ab, L_u)``
-    give both images at scale ``M = lcm(L_ab, L_u) = L_u * fc``; None also
-    when M passes MAX_SCALE_BITS.  The image function writes both images
-    in both orientations, so `decide` transposes nothing.
+    ``smap`` is the map from `scale_map` and ``scaled`` a pair
+    ``(L_ab, a, b)`` of integer grids at one scale, as the sampling module
+    draws it or `kernel_grids` makes it.  With coefficients at ``L_u``,
+    the factors ``fc = L_ab // g`` and ``fx = L_u // g`` for
+    ``g = gcd(L_ab, L_u)`` give both images at scale
+    ``M = lcm(L_ab, L_u) = L_u * fc``.  The image function writes both
+    images in both orientations, so `decide` transposes nothing.
     """
-    if scaled is None:
-        return None
     scale_u, inv, coeffs = smap
     scale_ab, ga, gb = scaled
     g = gcd(scale_ab, scale_u)

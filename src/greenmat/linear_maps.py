@@ -454,12 +454,12 @@ def _check_randomized(
 ) -> Verdict:
     """Seeded related (and in strong mode unrelated) pairs for each direction.
 
-    The map is scaled once and each pair once, and each pair is checked
-    by `first_counterexample` as soon as it is drawn.
+    The map is scaled once, each pair is drawn as integer grids, and each
+    pair is checked by `first_counterexample` as soon as it is drawn.
     """
     rng = random.Random(mode.seed)
     smap = _tropfast.scale_map(u)
-    draws = (sampling.related_pair, sampling.unrelated_pair)[: 2 if strong else 1]
+    draws = (sampling.related_grids, sampling.unrelated_grids)[: 2 if strong else 1]
     checked = 0
     for _ in range(mode.trials):
         for src, dst in directions:
@@ -467,31 +467,39 @@ def _check_randomized(
                 pair = draw(rng, u.semifield, u.n, src)
                 if pair is None:  # the unrelated draw gave up
                     continue
-                scaled = _tropfast.kernel_grids(*pair, dst)
                 checked += 1
-                _, cx = first_counterexample(u, smap, [pair], [scaled], src, dst, holds, texts)
+                _, cx = first_counterexample(u, smap, [pair], src, dst, holds, texts)
                 if cx is not None:
                     return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
     return Verdict(name, "NoCounterexampleFound", "randomized", checked, None, mode.seed)
 
 
 def first_counterexample(
-    u: UnitPermutationMap, smap: tuple, pairs: list, scaled: list, src: GreenRelation,
-    dst: GreenRelation, holds: bool, texts: tuple[str, str],
+    u: UnitPermutationMap, smap: tuple, pairs: list, src: GreenRelation, dst: GreenRelation,
+    holds: bool, texts: tuple[str, str],
 ) -> tuple[int, CounterexamplePair | None]:
     """The count of ``pairs`` checked, and the first ``(a, b)`` among them
     with ``u(a) dst u(b)`` not ``holds`` as a `_reverified_counterexample`,
     or None.  Both randomized map loops decide their pairs here.
 
-    ``smap`` is `_tropfast.scale_map(u)` and ``scaled`` holds each pair as
-    `_tropfast.kernel_grids` returns it.  Where `_tropfast.decide_images`
-    does not apply, the images built by `apply` are decided instead.
+    ``smap`` is `_tropfast.scale_map(u)` and ``pairs`` holds each pair as
+    ``(L, a, b)``, integer grids at one scale, as `sampling.related_grids`
+    draws it.  Where `_tropfast.kernel_scale` admits dst over the map's
+    carrier and size, `_tropfast.decide_images` decides the images; it
+    caps the scale at which it meets the pair, a multiple of L, so it
+    caps L too.  Elsewhere, and where it returns None, the pair is lifted
+    to matrices and the images built by `apply` are decided instead.
     """
-    for checked, ((a, b), grids) in enumerate(zip(pairs, scaled), 1):
-        verdict = _tropfast.decide_images(smap, grids, dst)
+    sf = u.semifield
+    # the rule for carrier, relation and size; decide_images caps the scale
+    kernel = _tropfast.kernel_scale(sf, dst, u.n, ()) is not None
+    for checked, pair in enumerate(pairs, 1):
+        verdict = _tropfast.decide_images(smap, pair, dst) if kernel else None
         if verdict is None:
+            a, b = sampling.lift_pair(sf, pair)
             verdict = _tropfast.decide_matrices(apply(u, a), apply(u, b), dst)
         if verdict != holds:
+            a, b = sampling.lift_pair(sf, pair)
             return checked, _reverified_counterexample(u, a, b, src, dst, holds, texts)
     return len(pairs), None
 

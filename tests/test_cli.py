@@ -258,9 +258,13 @@ class TestVerify:
         assert done.stderr == "error: trials must be at least 1, got 0\n"
 
     def test_trials_at_limit_runs(self, capsys):
-        argv = ["verify", "--suite", "t1", "--n", "3", "--seed", "1", "--trials", "10000"]
+        # a suite that reads --trials: the sticky search tests one candidate per trial
+        argv = ["verify", "--suite", "h_theorem", "--semifield", "tropical", "--n", "2",
+                "--seed", "1", "--trials", "10000"]
         assert cli.main(argv) == 0
-        assert json.loads(capsys.readouterr().out)["passed"] is True
+        report = json.loads(capsys.readouterr().out)
+        assert report["passed"] is True
+        assert report["counts"]["sticky_candidates"] == 10000
 
     @pytest.mark.parametrize(
         "args",

@@ -541,6 +541,124 @@ class TestDecideMatrices:
             _tropfast.decide_matrices(a, a, GR.D)
 
 
+#: SHA-256 of the JSON of every draw `_sampler_stream` makes, and the next
+#: ``rng.random()`` after them, per (carrier, seed).  Recorded on the Matrix
+#: sampler, before the sampler drew on integer grids.
+_SAMPLER_STREAM_GOLDEN = {
+    (B, 0): ("91f704c64a44cc9ce1a3ecd4242996725e28b3c431722aa92b4b8ccd4b30e62a", 0.6760184782812902),
+    (B, 1): ("56ab17e9c77c1d3ad7ef27ea3b80e9c6ff2983117799ee1b7d8715411e4d0976", 0.24005310778537314),
+    (B, 2): ("6c865fa5ad0a45c3d7cc2ad7016432447c9a1342a3e3aaad8b82d8056804a5d4", 0.33141941905109495),
+    (B, 3): ("1d644fe9620d0bed567f6b8058d39f98517cbc391bdd037398d91ec8c16922a3", 0.7739638111039876),
+    (B, 4): ("f3723c330073e9e49212c5b6dbb611e20a9d823018144aa3fa88f74b137ee4b8", 0.32254154728338347),
+    (T, 0): ("6d42d6a004f282efe1b2879f66595d68547bb8c3a21ddaf6ecd2742106f7836c", 0.3134047912516412),
+    (T, 1): ("955e04cc5e7635dc0f37b64cd5758d34508736c8bc809efe0a3eb17be2adea3e", 0.2814821552074497),
+    (T, 2): ("a962d4fb6ae4f8a0ddac48935d6ff7a7e07989b12175ad0ff7f93af94b2441fb", 0.9681115003203394),
+    (T, 3): ("05a1470b78e331ac3d2080c3365cb5df30448edd893816b88aaf7632cd858b7f", 0.7641288359558116),
+    (T, 4): ("c66cecdebaf3fda0e4d5475e8148ce63dc8bc4ece373287f3c55b779bcb2c1ce", 0.9878086615954558),
+    (TI, 0): ("39f1aa2f616cd63dcbb6e2a585488ef8541f6d22ce273ec26c50b7ed64bc102a", 0.1881063965807689),
+    (TI, 1): ("d1a547cee1ad87dbd42e41e0d66e1fe6583660c002b73c6c2b2cb932f2b490ed", 0.08898138101289876),
+    (TI, 2): ("d6636cbc205f1660bc09baf6539610e8bafcaa6124b8b93b5181b4a0e9b7d7ed", 0.6321061774276597),
+    (TI, 3): ("9aa1758621310864977fa092e9adc20262bcf0f1d522af9eab71d0a3780e7b58", 0.2946883054616135),
+    (TI, 4): ("d34d0f3e05ff554f6ae0dd4f76b0abafd366aba5eef6de145fa51afff52ab794", 0.6349246889336799),
+}
+
+
+def _sampler_stream(sf, seed):
+    """Three related pairs and three unrelated ones per relation the carrier
+    draws it for, then a matrix and a monomial, at each n = 1..4: the JSON
+    text of the draws and the next ``rng.random()``."""
+    rng = random.Random(seed)
+    out = []
+    for n in (1, 2, 3, 4):
+        for rel in GR:
+            unrelated = green.decidable_over(rel, sf) and (
+                rel not in green.BOUNDED_SEARCH or n <= green.MAX_BOUNDED_N
+            )
+            for _ in range(3):
+                out.append([mx.matrix_to_json(m) for m in sampling.related_pair(rng, sf, n, rel)])
+                if unrelated:
+                    pair = sampling.unrelated_pair(rng, sf, n, rel)
+                    out.append(None if pair is None else [mx.matrix_to_json(m) for m in pair])
+        out.append(mx.matrix_to_json(sampling.random_matrix(rng, sf, n)))
+        out.append(mx.monomial_to_json(sampling.random_monomial(rng, sf, n)))
+    return json.dumps(out), rng.random()
+
+
+@pytest.mark.parametrize("sf, seed", sorted(_SAMPLER_STREAM_GOLDEN, key=str))
+def test_sampler_stream_is_byte_identical_to_golden(sf, seed):
+    # the draws and the RNG state after them: an extra or missing draw
+    # anywhere changes the next value
+    text, after = _sampler_stream(sf, seed)
+    digest, expected_after = _SAMPLER_STREAM_GOLDEN[sf, seed]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert after == expected_after
+
+
+class TestGridSampler:
+    """The grid draws of `sampling` against their lifts and the kernel's
+    admission rule."""
+
+    @pytest.mark.parametrize("sf", (B, T, TI))
+    def test_lifted_grids_are_the_matrix_draws(self, sf):
+        for n, rel, seed in itertools.product((1, 2, 3), GR, range(4)):
+            draws = [(sampling.related_grids, sampling.related_pair)]
+            if green.decidable_over(rel, sf):
+                draws.append((sampling.unrelated_grids, sampling.unrelated_pair))
+            for grids_of, pair_of in draws:
+                rng_grids, rng_pair = random.Random(seed), random.Random(seed)
+                drawn = grids_of(rng_grids, sf, n, rel)
+                pair = pair_of(rng_pair, sf, n, rel)
+                assert rng_grids.getstate() == rng_pair.getstate()
+                if drawn is None:
+                    assert pair is None
+                    continue
+                assert sampling.lift_pair(sf, drawn) == pair, (n, rel, seed)
+                if sf is not B:
+                    _assert_grids_decide_as_kernel_grids(drawn, pair)
+
+    def test_nonzero_draws_are_randint_draws(self):
+        fast, slow = random.Random(8), random.Random(8)
+        p, q = sampling.P_BOUND, sampling.Q_BOUND
+        for _ in range(2000):
+            assert sampling._nonzero(fast, T) == (slow.randint(-p, p), slow.randint(1, q))
+            assert sampling._nonzero(fast, TI) == (slow.randint(-p, p), 1)
+            assert sampling._nonzero(fast, B) == (0, 1)
+        assert fast.getstate() == slow.getstate()
+
+    def test_kernel_scale_is_the_admission_rule(self):
+        cap, side = _tropfast.MAX_SCALE_BITS, mx.MAX_MATRIX_SIDE
+        for sf, rel in itertools.product((B, T, TI), GR):
+            admitted = sf is not B and rel in _tropfast.KERNEL_RELATIONS
+            assert _tropfast.kernel_scale(sf, rel, side, (4, 6, 9)) == (36 if admitted else None)
+        for sf in (T, TI):
+            assert _tropfast.kernel_scale(sf, GR.H, side + 1, (1,)) is None
+            assert _tropfast.kernel_scale(sf, GR.H, 2, (2**cap - 1,)) == 2**cap - 1
+            assert _tropfast.kernel_scale(sf, GR.H, 2, (2**cap,)) is None
+            assert _tropfast.kernel_scale(sf, GR.H, 2, (2 ** (cap - 1), 3)) is None
+
+    @pytest.mark.parametrize("sf", (T, TI))
+    def test_passing_map_loops_lift_no_pair(self, monkeypatch, sf):
+        lifts = []
+        _spy(monkeypatch, _tropfast, "lift", lifts)
+        mode = lm.Randomized(seed=6, trials=10)
+        u = _seeded_map(sf, 3, "standard", 7)
+        verdicts = [lm.check_preservation(u, rel, mode, strong=True) for rel in _FAST_RELS]
+        assert {v.outcome for v in verdicts} == {"NoCounterexampleFound"}
+        params = SuiteParams(semifield=sf, n=2, seed=6, trials=50, monomial_pairs=2)
+        assert run_suite("corollaries", params).passed
+        assert lifts == []
+
+
+def _assert_grids_decide_as_kernel_grids(drawn, pair):
+    """Every kernel relation decides the drawn triple as it decides the
+    `_tropfast.kernel_grids` triple of its lift, whose scale divides the
+    drawn one."""
+    for rel in _FAST_RELS:
+        scaled = _tropfast.kernel_grids(*pair, rel)
+        assert drawn[0] % scaled[0] == 0
+        assert _tropfast.decide(*drawn[1:], rel) == _tropfast.decide(*scaled[1:], rel), rel
+
+
 def _noncanonical_map(rng, sf, n):
     cells = list(range(n * n))
     rng.shuffle(cells)
@@ -561,6 +679,11 @@ def _seeded_map(sf, n, kind, map_seed):
     return lm.synthesize(lm.CanonicalForm(p, q, kind == "transpose"), n, sf)
 
 
+def _reference_decide_grids(sf, scale, agrid, bgrid, rel):
+    """`sampling.decide_grids` by the reference decider on the lifted pair."""
+    return relate(*sampling.lift_pair(sf, (scale, agrid, bgrid)), rel)
+
+
 class TestLyingKernel:
     """A kernel that lies must end in AssertionError, never in a verdict
     against the paper: every such verdict is re-decided by green.relate."""
@@ -578,7 +701,7 @@ class TestLyingKernel:
     @pytest.mark.parametrize("sf", (T, TI))
     def test_false_positives_do_not_become_counterexamples(self, monkeypatch, sf):
         # honest sampling, so unrelated pairs reach the strong checks
-        monkeypatch.setattr(sampling, "decide_matrices", relate)
+        monkeypatch.setattr(sampling, "decide_grids", _reference_decide_grids)
         monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel, transposes=None: True)
         mode = lm.Randomized(seed=4, trials=5)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
@@ -597,7 +720,7 @@ class TestLyingKernel:
     def test_honest_kernel_against_a_lying_sampler_is_caught(self, monkeypatch):
         # the sampler accepts every candidate pair as related; the premise
         # of the resulting counterexample fails under the reference decider
-        monkeypatch.setattr(sampling, "decide_matrices", lambda a, b, rel: True)
+        monkeypatch.setattr(sampling, "decide_grids", lambda sf, scale, a, b, rel: True)
         u = _seeded_map(T, 2, "standard", 5)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             lm.check_preservation(u, GR.L, lm.Randomized(seed=0, trials=20))
@@ -624,9 +747,11 @@ class TestLyingKernel:
     @pytest.mark.parametrize("sf", (T, TI))
     def test_corollaries_recheck_the_premise_of_a_failure(self, monkeypatch, sf):
         # the sampler's L/R/H draws are kernel verdicts; here it hands out a
-        # pair related under no pool relation, whose images are unrelated too
-        unrelated = (mx.identity(sf, 2), mx.zero_matrix(sf, 2, 2))
-        monkeypatch.setattr(sampling, "related_pair", lambda rng, sf, n, rel: unrelated)
+        # pair related under no pool relation (the identity and zero, as
+        # grids), whose images are unrelated too
+        unrelated = (1, ((0, None), (None, 0)), ((None, None), (None, None)))
+        assert sampling.lift_pair(sf, unrelated) == (mx.identity(sf, 2), mx.zero_matrix(sf, 2, 2))
+        monkeypatch.setattr(sampling, "related_grids", lambda rng, sf, n, rel: unrelated)
         params = SuiteParams(semifield=sf, n=2, seed=1, trials=5, monomial_pairs=1)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             run_suite("corollaries", params)

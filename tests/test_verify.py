@@ -201,6 +201,18 @@ class TestTheoremSuites:
         assert r.counts["pairs_per_relation"] == 20
         assert r.generator == "python-random-mt19937"
 
+    def test_corollaries_tropical_at_trials_limit(self):
+        # pools of MAX_TRIALS / 5 grid pairs per relation, each checked under
+        # both map shapes of one monomial pair
+        params = SuiteParams(
+            semifield=T, n=2, seed=3, trials=verify.MAX_TRIALS, monomial_pairs=1
+        )
+        r = run_suite("corollaries", params)
+        assert r.passed
+        assert r.counts == {
+            "monomial_pairs": 1, "pairs_per_relation": 2000, "pair_checks": 20000, "failures": 0,
+        }
+
     def test_corollaries_deterministic_given_seed(self):
         params = SuiteParams(semifield=T, n=2, seed=12, trials=50, monomial_pairs=3)
         r1 = run_suite("corollaries", params)
