@@ -33,7 +33,10 @@ at one common scale, the form `kernel_grids` gives two matrices.  A
 drawn pair becomes `Matrix` objects only when it is lifted (`lift`).
 Four kinds of caller use the kernel:
 
-* the sampler decides its rejection tests on its own grids (`decide`);
+* the sampler decides its rejection tests on its own grids (`decide`),
+  through ``sampling.decide_grids``; the sticky search of the linear_maps
+  module decides its pairs there too, each candidate and its k drawn as
+  integers at their lcm, and lifts only the candidate and a refuting k;
 * the two randomized map loops, the ``corollaries`` suite of the verify
   module and the randomized preservation and exchange checks of the
   linear_maps module, scale each map once (`scale_map`) and take each
@@ -44,9 +47,8 @@ Four kinds of caller use the kernel:
   leqR part.  Only a counterexample, or a pair the kernel does not take,
   is lifted and has its images built as `Matrix` objects;
 * callers holding two `Matrix` objects go through `decide_matrices`.
-  These are the fallback of the map loops, the sticky search of the
-  linear_maps module, and the sampler's tests on pairs the kernel does
-  not take (the boolean carrier, D, J and leqJ);
+  These are the fallback of the map loops and the sampler's tests on
+  pairs the kernel does not take (the boolean carrier, D, J and leqJ);
 * ``greenmat relate`` goes through `relate_witness`, which also builds
   the witness as the integer principal solution (`principal_solution`)
   and multiplies it out on integers (`max_plus`) before returning it.

@@ -23,6 +23,7 @@ import enum
 import functools
 import random
 from dataclasses import dataclass
+from math import lcm
 
 from . import semiring
 from .green import (
@@ -30,7 +31,6 @@ from .green import (
     MAX_BOUNDED_N,
     GreenRelation,
     decidable_over,
-    factor_rank,
     has_factor_rank_at_most_one,
     relate_witness,
 )
@@ -549,6 +549,8 @@ class StickyReport:
 
 
 def _sticky_pair(m: Matrix, k: SemifieldValue) -> tuple[Matrix, Matrix]:
+    """``(A_k, B_k)`` as matrices: the reference form of `_sticky_grids`,
+    which re-verifies a survivor."""
     (a, b), (c, d) = m.entries
     mk = semiring.mul
     sf = m.semifield
@@ -557,19 +559,57 @@ def _sticky_pair(m: Matrix, k: SemifieldValue) -> tuple[Matrix, Matrix]:
     return ak, bk
 
 
+def _sticky_grids(scale: int, grid: tuple, p: int, q: int) -> tuple[int, tuple, tuple]:
+    """``(S, A_k, B_k)`` for the candidate ``grid`` at ``scale`` and k = p/q:
+    both grids at ``S = lcm(scale, q)``, where multiplying by k adds
+    ``p * (S // q)``."""
+    s = lcm(scale, q)
+    f, k = s // scale, p * (s // q)
+    a, b, c, d = (x * f for row in grid for x in row)
+    return s, ((a + k, b), (c, d + k)), ((a, b + k), (c + k, d))
+
+
+def _rank_two(grid: tuple) -> bool:
+    """Whether a 2x2 grid of finite entries has factor rank 2: ad != bc,
+    which on the integers is ``A + D != B + C``."""
+    (a, b), (c, d) = grid
+    return a + d != b + c
+
+
+def _square_root(semifield: Semifield, scale: int, grid: tuple) -> tuple[int, int] | None:
+    """The square root of bc/(ad) for a tropical candidate ``grid`` at
+    ``scale``, as ``(p, q)`` for p/q, or None where the carrier has none.
+
+    At scale L, bc/(ad) is t/L with ``t = B + C - A - D``: its root is
+    t/(2L) over tropical, and t/2 over tropical_int (L = 1) when t is even.
+    """
+    (a, b), (c, d) = grid
+    t = b + c - a - d
+    if semifield is Semifield.TROPICAL_INT:
+        return None if t % 2 else (t // 2, 1)
+    return t, 2 * scale
+
+
 def _refute_candidate(
-    m: Matrix, ks: list[tuple[SemifieldValue, bool]] | None
+    m: Matrix, scale: int, grid: tuple, ks: list[tuple[int, int, bool]]
 ) -> StickyRefutation | None:
-    """The refutation of m: S2 when ks is None (factor rank below 2), else
-    the first k among ks with A_k and B_k not H-related; None if all survive."""
-    if ks is None:
+    """The refutation of the candidate m, which is ``grid`` at ``scale``: S2
+    when its factor rank is below 2, else the first k = p/q among ks, each
+    ``(p, q, is_witness)``, with A_k and B_k not H-related; None if all
+    survive.
+
+    Each pair is decided as grids by `sampling.decide_grids`; only the
+    refuting k becomes a scalar.  A survivor would refute the paper, so
+    every k is re-decided on matrices by the reference first.
+    """
+    if not _rank_two(grid):
         return StickyRefutation(m, "S2", None, False)
-    for k, is_witness in ks:
-        ak, bk = _sticky_pair(m, k)
-        if not _tropfast.decide_matrices(ak, bk, GreenRelation.H):
-            return StickyRefutation(m, "S3", k, is_witness)
-    for k, _ in ks:  # a survivor would refute the paper: the reference must agree
-        _tropfast.reverify(*_sticky_pair(m, k), GreenRelation.H, True)
+    sf = m.semifield
+    for p, q, is_witness in ks:
+        if not sampling.decide_grids(sf, *_sticky_grids(scale, grid, p, q), GreenRelation.H):
+            return StickyRefutation(m, "S3", sampling._value(sf, p, q), is_witness)
+    for p, q, _ in ks:
+        _tropfast.reverify(*_sticky_pair(m, sampling._value(sf, p, q)), GreenRelation.H, True)
     return None
 
 
@@ -579,15 +619,17 @@ def find_sticky(semifield: Semifield, mode: Mode) -> StickyReport:
     to exist; the report carries one refutation per candidate.
 
     Exhaustive() searches the boolean carrier, Randomized(seed, trials)
-    a tropical one.
+    a tropical one.  Both hand `_refute_candidate` each candidate as an
+    integer grid at a scale, as `sampling` draws matrices, and its k as
+    ``(p, q)`` draws; only the candidate is lifted to a `Matrix`.
     """
     if isinstance(mode, Exhaustive):
         if semifield is not Semifield.BOOLEAN:
             raise UnsupportedMode("exhaustive sticky search is boolean-only")
         label, seed, generator = "exhaustive", None, None
-        one_v = semiring.one(semifield)  # all ones: the only full-support candidate
-        m = Matrix(semifield, 2, 2, ((one_v, one_v), (one_v, one_v)))
-        stream = [(m, None if factor_rank(m).value != 2 else [(one_v, False)])]
+        # all ones, the boolean copy {None, 0} in max-plus: the only
+        # full-support candidate, tested at k = 1
+        stream = [(1, ((0, 0), (0, 0)), [(0, 1, False)])]
     elif isinstance(mode, Randomized):
         if not semifield.is_tropical:
             raise UnsupportedMode("randomized sticky search needs a tropical carrier")
@@ -598,9 +640,10 @@ def find_sticky(semifield: Semifield, mode: Mode) -> StickyReport:
     refutations = []
     candidates = 0
     survivor = None
-    for m, ks in stream:
+    for scale, grid, ks in stream:
         candidates += 1
-        refutation = _refute_candidate(m, ks)
+        m = _tropfast.lift(semifield, scale, grid)
+        refutation = _refute_candidate(m, scale, grid, ks)
         if refutation is None:
             survivor = m
             break
@@ -611,23 +654,20 @@ def find_sticky(semifield: Semifield, mode: Mode) -> StickyReport:
 
 
 def _random_sticky_candidates(rng: random.Random, semifield: Semifield, trials: int):
-    """``trials`` seeded 2x2 matrices of invertible entries and factor rank 2,
-    each with its k list: the square root of bc/(ad) when it exists, then
-    STICKY_K_SAMPLES random invertible k."""
+    """``trials`` seeded 2x2 candidates of invertible entries and factor
+    rank 2, each as ``(L, grid, ks)``: the entries as an integer grid at the
+    lcm L of their denominators, and the k list as ``(p, q, is_witness)``
+    for k = p/q: the square root of bc/(ad) when it exists, then
+    STICKY_K_SAMPLES random invertible k, drawn by `sampling._nonzero`."""
     for _ in range(trials):
         while True:
-            a, b, c, d = (sampling.random_nonzero_scalar(rng, semifield) for _ in range(4))
-            if semiring.mul(a, d) != semiring.mul(b, c):
+            scale, grid = sampling._scaled([sampling._nonzero(rng, semifield) for _ in range(4)], 2)
+            if _rank_two(grid):
                 break  # factor rank 1 fails S2; only rank-2 candidates count
-        root = semiring.try_sqrt(
-            semiring.mul(semiring.mul(b, c), semiring.inv(semiring.mul(a, d)))
-        )
-        ks = [] if root is None else [(root, True)]
-        ks.extend(
-            (sampling.random_nonzero_scalar(rng, semifield), False)
-            for _ in range(STICKY_K_SAMPLES)
-        )
-        yield Matrix(semifield, 2, 2, ((a, b), (c, d))), ks
+        root = _square_root(semifield, scale, grid)
+        ks = [] if root is None else [(*root, True)]
+        ks.extend((*sampling._nonzero(rng, semifield), False) for _ in range(STICKY_K_SAMPLES))
+        yield scale, grid, ks
 
 
 # --- JSON wire formats -------------------------------------------------------

@@ -536,10 +536,22 @@ class TestSticky:
         assert rep.outcome == "NoCandidateFound"
 
     def test_refutations_are_independently_checkable(self):
-        rep = find_sticky(T, Randomized(seed=6, trials=25))
-        for r in rep.refutations:
-            ak, bk = lm._sticky_pair(r.m, r.k)
-            assert not relate(ak, bk, GR.H)
+        from greenmat.green import factor_rank
+
+        at_sampled_k = {}
+        for sf in (T, TI):
+            rep = find_sticky(sf, Randomized(seed=6, trials=25))
+            assert len(rep.refutations) == 25
+            for r in rep.refutations:
+                assert r.failed == "S3"
+                assert not any(sr.is_zero(e) for row in r.m.entries for e in row)
+                assert factor_rank(r.m).value == 2
+                ak, bk = lm._sticky_pair(r.m, r.k)
+                assert not relate(ak, bk, GR.H)
+            at_sampled_k[sf] = sum(not r.k_is_square_root_witness for r in rep.refutations)
+        # over the rationals the root always refutes; over the integers an
+        # odd t has no root, and a sampled k refutes instead
+        assert at_sampled_k == {T: 0, TI: 15}
 
     def test_mode_validation(self):
         with pytest.raises(UnsupportedMode):
@@ -555,14 +567,68 @@ class TestSticky:
         tested = []
         real = lm._refute_candidate
 
-        def spy(m, ks):
-            tested.append(sum(not is_witness for _, is_witness in ks))
-            return real(m, ks)
+        def spy(m, scale, grid, ks):
+            tested.append(sum(not is_witness for _, _, is_witness in ks))
+            return real(m, scale, grid, ks)
 
         monkeypatch.setattr(lm, "_refute_candidate", spy)
         rep = find_sticky(TI, Randomized(seed=42, trials=50))
         assert rep.outcome == "NoCandidateFound" and rep.candidates == 50
         assert tested == [lm.STICKY_K_SAMPLES] * 50
+
+    @pytest.mark.parametrize("sf", (T, TI))
+    def test_passing_search_builds_only_its_candidates(self, monkeypatch, sf):
+        calls = {"_sticky_pair": 0, "decide_matrices": 0, "lift": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(lm, "_sticky_pair")
+        counted(_tropfast, "decide_matrices")
+        counted(_tropfast, "lift")
+        rep = find_sticky(sf, Randomized(seed=42, trials=50))
+        assert rep.outcome == "NoCandidateFound" and rep.candidates == 50
+        assert calls == {"_sticky_pair": 0, "decide_matrices": 0, "lift": 50}
+
+    @pytest.mark.parametrize("sf", (T, TI))
+    def test_grid_arithmetic_matches_the_matrix_reference(self, sf):
+        """The rank test, the square root and the sticky pair on a
+        candidate's integer grid agree with `semiring` on its matrix."""
+        from fractions import Fraction
+
+        rng = random.Random(2718)
+        rank_one = no_root = 0
+        for i in range(400):
+            draws = [sampling._nonzero(rng, sf) for _ in range(4)]
+            if i % 4 == 0:  # d = b + c - a: factor rank 1
+                pa, pb, pc = (Fraction(p, q) for p, q in draws[:3])
+                d = pb + pc - pa
+                draws[3] = (d.numerator, d.denominator)
+            scale, grid = sampling._scaled(draws, 2)
+            a, b, c, d = (sampling._value(sf, p, q) for p, q in draws)
+            m = mx.Matrix(sf, 2, 2, ((a, b), (c, d)))
+            assert _tropfast.lift(sf, scale, grid) == m
+            assert lm._rank_two(grid) == (sr.mul(a, d) != sr.mul(b, c))
+            if not lm._rank_two(grid):
+                rank_one += 1
+                continue
+            root = lm._square_root(sf, scale, grid)
+            expected = sr.try_sqrt(sr.mul(sr.mul(b, c), sr.inv(sr.mul(a, d))))
+            assert (None if root is None else sampling._value(sf, *root)) == expected
+            no_root += root is None
+            for p, q in ([] if root is None else [root]) + [sampling._nonzero(rng, sf)]:
+                s, ak, bk = lm._sticky_grids(scale, grid, p, q)
+                k = sampling._value(sf, p, q)
+                assert (_tropfast.lift(sf, s, ak), _tropfast.lift(sf, s, bk)) == lm._sticky_pair(m, k)
+        assert rank_one == 100
+        # over the integers exactly the odd t = b + c - a - d have no root
+        assert no_root == 0 if sf is T else 100 < no_root < 200
 
     def test_rank_collapse_refutes_h(self):
         """For sampled full-support rank-2 M and invertible k: whenever one of
