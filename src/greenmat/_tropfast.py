@@ -21,7 +21,7 @@ as ``green.PREORDERS`` orients them, and composes L, R and H from them by
 the column loop of one template, so each entry is a local variable.  The
 source is made from the int width alone and compiled on first use, never
 at import; `_leq_kernel`
-keeps one kernel per width for the life of the module.  `kernel_scale`
+keeps one kernel per width for the life of the module.  `kernel_takes`
 admits no side above ``matrix.MAX_MATRIX_SIDE`` = 16, so the program
 compiles at most 16 kernels.  A kernel compiles in 0.4 ms at width 3
 and 1.6 ms at width 16 (a 2-vCPU Xeon VM, Python 3.11.7).
@@ -31,12 +31,13 @@ these integers: the sampling module draws, multiplies and
 rejection-tests matrices as grids, and hands out a pair as ``(L, a, b)``
 at one common scale, the form `kernel_grids` gives two matrices.  A
 drawn pair becomes `Matrix` objects only when it is lifted (`lift`).
-Four kinds of caller use the kernel:
+Three kinds of caller use the kernel:
 
-* the sampler decides its rejection tests on its own grids (`decide`),
-  through ``sampling.decide_grids``; the sticky search of the linear_maps
-  module decides its pairs there too, each candidate and its k drawn as
-  integers at their lcm, and lifts only the candidate and a refuting k;
+* the sampler decides its rejection tests on its own grids through
+  `decide_grids`, the one dispatcher for grid pairs; the sticky search of
+  the linear_maps module decides its pairs there too, each candidate and
+  its k drawn as integers at their lcm, and lifts only the candidate and
+  a refuting k;
 * the two randomized map loops, the ``corollaries`` suite of the verify
   module and the randomized preservation and exchange checks of the
   linear_maps module, scale each map once (`scale_map`) and take each
@@ -45,10 +46,8 @@ Four kinds of caller use the kernel:
   function of the pair's width, which writes both images in row
   orientation and transposed, and `decide` reads the transposes for the
   leqR part.  Only a counterexample, or a pair the kernel does not take,
-  is lifted and has its images built as `Matrix` objects;
-* callers holding two `Matrix` objects go through `decide_matrices`.
-  These are the fallback of the map loops and the sampler's tests on
-  pairs the kernel does not take (the boolean carrier, D, J and leqJ);
+  is lifted, has its images built as `Matrix` objects and is decided by
+  ``green.relate``;
 * ``greenmat relate`` goes through `relate_witness`, which also builds
   the witness as the integer principal solution (`principal_solution`)
   and multiplies it out on integers (`max_plus`) before returning it.
@@ -62,12 +61,13 @@ destination order, so no map is ever compiled: there are up to
 ``2*(n!)**2`` canonical maps alone.  It compiles in 0.8 ms at width 3,
 4.6 ms at width 8 and 19 ms at width 16 (same VM).
 
-A pair reaches the kernel only where `kernel_scale` admits it, the one
-statement of the rule that `kernel_grids`, the sampler and the map loops
-read: the tropical carriers, the relations above, square matrices of one
-size up to 16, and a common scale of at most MAX_SCALE_BITS bits
-(`_capped_scale`), which also bounds the scale `decide_images` gives a
-pair and a map.
+A pair reaches the kernel only where `kernel_takes` holds, the one
+statement of the rule that `kernel_grids`, `decide_grids` and the map
+loops read: the tropical carriers, the relations above, and square
+matrices of one size up to 16.  Its common scale must also have at most
+MAX_SCALE_BITS bits: `kernel_grids` tests the lcm of a pair's
+denominators with `_capped_scale`, `decide_grids` the scale it is given,
+and `decide_images` the scale it gives a pair and a map.
 Everything else (the boolean carrier, D, J, leqJ, invalid input) goes to
 the green module, and so do over-cap pairs: the lcm of many large
 distinct denominators grows with their sum, and integer residuation at
@@ -166,7 +166,7 @@ def scale_grids(*grids: tuple) -> tuple[int, tuple]:
     )
 
 
-def _capped_scale(dens: set | tuple) -> int | None:
+def _capped_scale(dens: set) -> int | None:
     """The lcm of ``dens``, or None when it has more than MAX_SCALE_BITS bits.
 
     The lcm divides the product, whose bit length is at most the count
@@ -184,37 +184,27 @@ def _capped_scale(dens: set | tuple) -> int | None:
     return scale
 
 
-def kernel_scale(
-    semifield: Semifield, rel: GreenRelation, side: int, dens: set | tuple
-) -> int | None:
-    """The rule by which a pair reaches the kernel: the pair's common scale
-    ``lcm(dens)`` when the kernel decides ``a rel b`` for two side-by-side
-    matrices over ``semifield``, else None.
-
-    The kernel takes L, R, H, leqL and leqR over the tropical carriers, up
-    to MAX_MATRIX_SIDE, at a scale of at most MAX_SCALE_BITS bits.  ``dens``
-    holds the pair's distinct denominators, or the pair's scale alone where
-    it is at one already; with none, the rule is that for the carrier,
-    relation and side alone.
-    """
-    if rel in KERNEL_RELATIONS and semifield.is_tropical and side <= MAX_MATRIX_SIDE:
-        return _capped_scale(dens)
-    return None
+def kernel_takes(semifield: Semifield, rel: GreenRelation, side: int) -> bool:
+    """Whether the kernel decides ``a rel b`` for two side-by-side matrices
+    over ``semifield``: L, R, H, leqL and leqR over the tropical carriers,
+    up to MAX_MATRIX_SIDE.  The scale cap is `_capped_scale`'s."""
+    return rel in KERNEL_RELATIONS and semifield.is_tropical and side <= MAX_MATRIX_SIDE
 
 
 def kernel_grids(a: Matrix, b: Matrix, rel: GreenRelation) -> tuple | None:
     """``(L, a, b)`` with ``a`` and ``b`` as integer grids at their common
-    scale ``L`` when the kernel decides ``a rel b`` (`kernel_scale`), else
-    None.
+    scale ``L`` when the kernel decides ``a rel b`` (`kernel_takes`, at a
+    scale `_capped_scale` admits), else None.
 
     Everything the kernel does not take (the boolean carrier, D, J, leqJ,
     mixed carriers, other sizes and over-cap scales) belongs to the green
     module, which also raises the errors for invalid input.
     """
-    if not (a.semifield is b.semifield and a.rows == a.cols == b.rows == b.cols):
+    square = a.semifield is b.semifield and a.rows == a.cols == b.rows == b.cols
+    if not (square and kernel_takes(a.semifield, rel, a.rows)):
         return None
     # payloads are Fractions or, over tropical_int, ints (denominator 1)
-    scale = kernel_scale(a.semifield, rel, a.rows, {
+    scale = _capped_scale({
         e.payload.denominator
         for m in (a, b) for row in m.entries for e in row if e.payload is not MINUS_INF
     })
@@ -341,13 +331,16 @@ def related(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
     return decide(a, b, rel)
 
 
-def decide_matrices(a: Matrix, b: Matrix, rel: GreenRelation) -> bool:
-    """Decide ``a rel b`` on the kernel where `kernel_grids` admits the
-    pair, else by ``green.relate``."""
-    scaled = kernel_grids(a, b, rel)
-    if scaled is None:
-        return relate(a, b, rel)
-    return decide(scaled[1], scaled[2], rel)
+def decide_grids(
+    semifield: Semifield, scale: int, agrid: tuple, bgrid: tuple, rel: GreenRelation
+) -> bool:
+    """Decide ``a rel b`` for two grids at one scale: on the kernel where
+    `kernel_takes` holds and ``scale`` has at most MAX_SCALE_BITS bits, else
+    by ``green.relate`` on the lifted matrices (the boolean carrier, D, J,
+    leqJ, sides above 16)."""
+    if kernel_takes(semifield, rel, len(agrid)) and scale.bit_length() <= MAX_SCALE_BITS:
+        return decide(agrid, bgrid, rel)
+    return relate(lift(semifield, scale, agrid), lift(semifield, scale, bgrid), rel)
 
 
 def principal_solution(agrid: tuple, bgrid: tuple) -> tuple:

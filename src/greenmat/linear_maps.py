@@ -32,6 +32,7 @@ from .green import (
     GreenRelation,
     decidable_over,
     has_factor_rank_at_most_one,
+    relate,
     relate_witness,
 )
 from .matrix import (
@@ -92,6 +93,9 @@ class UnitPermutationMap:
 
     def __post_init__(self):
         n = self.n
+        for table in (self.sigma, self.alpha):
+            if len(table) != n or any(len(row) != n for row in table):
+                raise DimensionMismatch("sigma and alpha must be n-by-n")
         cells = {self.sigma[i][j] for i in range(n) for j in range(n)}
         if len(cells) != n * n or any(
             not (0 <= k < n and 0 <= l < n) for k, l in cells
@@ -321,6 +325,8 @@ class Randomized:
     trials: int = 1000
 
     def __post_init__(self):
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
 
@@ -484,20 +490,20 @@ def first_counterexample(
 
     ``smap`` is `_tropfast.scale_map(u)` and ``pairs`` holds each pair as
     ``(L, a, b)``, integer grids at one scale, as `sampling.related_grids`
-    draws it.  Where `_tropfast.kernel_scale` admits dst over the map's
-    carrier and size, `_tropfast.decide_images` decides the images; it
-    caps the scale at which it meets the pair, a multiple of L, so it
-    caps L too.  Elsewhere, and where it returns None, the pair is lifted
-    to matrices and the images built by `apply` are decided instead.
+    draws it.  Where the kernel takes dst over the map's carrier and size
+    (`_tropfast.kernel_takes`), `_tropfast.decide_images` decides the
+    images; it caps the scale at which it meets the pair, a multiple of L,
+    so it caps L too.  Elsewhere, and where it returns None, the pair is
+    lifted to matrices and ``green.relate`` decides the images built by
+    `apply`.
     """
     sf = u.semifield
-    # the rule for carrier, relation and size; decide_images caps the scale
-    kernel = _tropfast.kernel_scale(sf, dst, u.n, ()) is not None
+    kernel = _tropfast.kernel_takes(sf, dst, u.n)
     for checked, pair in enumerate(pairs, 1):
         verdict = _tropfast.decide_images(smap, pair, dst) if kernel else None
         if verdict is None:
             a, b = sampling.lift_pair(sf, pair)
-            verdict = _tropfast.decide_matrices(apply(u, a), apply(u, b), dst)
+            verdict = relate(apply(u, a), apply(u, b), dst)
         if verdict != holds:
             a, b = sampling.lift_pair(sf, pair)
             return checked, _reverified_counterexample(u, a, b, src, dst, holds, texts)
@@ -598,7 +604,7 @@ def _refute_candidate(
     ``(p, q, is_witness)``, with A_k and B_k not H-related; None if all
     survive.
 
-    Each pair is decided as grids by `sampling.decide_grids`; only the
+    Each pair is decided as grids by `_tropfast.decide_grids`; only the
     refuting k becomes a scalar.  A survivor would refute the paper, so
     every k is re-decided on matrices by the reference first.
     """
@@ -606,7 +612,7 @@ def _refute_candidate(
         return StickyRefutation(m, "S2", None, False)
     sf = m.semifield
     for p, q, is_witness in ks:
-        if not sampling.decide_grids(sf, *_sticky_grids(scale, grid, p, q), GreenRelation.H):
+        if not _tropfast.decide_grids(sf, *_sticky_grids(scale, grid, p, q), GreenRelation.H):
             return StickyRefutation(m, "S3", sampling._value(sf, p, q), is_witness)
     for p, q, _ in ks:
         _tropfast.reverify(*_sticky_pair(m, sampling._value(sf, p, q)), GreenRelation.H, True)

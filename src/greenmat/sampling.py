@@ -13,6 +13,7 @@ drawn matrix is at the lcm of its denominators, a product
 multiple is a shift.  Every scale divides ``lcm(1, ..., Q_BOUND)``, of
 1438 bits, so it is always within `_tropfast.MAX_SCALE_BITS`.  The
 boolean carrier is its copy {None, 0} inside max-plus, at scale 1.
+Each rejection test is one `_tropfast.decide_grids` call.
 
 `related_grids` and `unrelated_grids` return a pair as ``(L, a, b)``, both
 grids at one scale L: the form `_tropfast.kernel_grids` gives a pair of
@@ -177,23 +178,6 @@ def _swap_blocks(
     return _scaled(u, n), _scaled(v, n)
 
 
-def decide_grids(
-    semifield: Semifield, scale: int, agrid: tuple, bgrid: tuple, rel: GreenRelation
-) -> bool:
-    """Decide ``a rel b`` for two grids at one scale: the sampler's one
-    rejection test.
-
-    On the kernel where `_tropfast.kernel_scale` admits the pair, else on
-    the lifted matrices by `_tropfast.decide_matrices` (the boolean
-    carrier, D, J, leqJ, sides above 16).
-    """
-    if _tropfast.kernel_scale(semifield, rel, len(agrid), (scale,)) is None:
-        return _tropfast.decide_matrices(
-            _tropfast.lift(semifield, scale, agrid), _tropfast.lift(semifield, scale, bgrid), rel
-        )
-    return _tropfast.decide(agrid, bgrid, rel)
-
-
 def related_grids(
     rng: random.Random, semifield: Semifield, n: int, rel: GreenRelation
 ) -> tuple[int, tuple, tuple]:
@@ -221,7 +205,7 @@ def related_grids(
             scale, ga, gb = pair
             # b is below a as well, so a rel b
             below = GreenRelation.LEQ_L if left else GreenRelation.LEQ_R
-            if decide_grids(semifield, scale, gb, ga, below):
+            if _tropfast.decide_grids(semifield, scale, gb, ga, below):
                 return pair
         return _pair(_mul(monomial(), b) if left else _mul(b, monomial()), b)
     if rel is GreenRelation.H:
@@ -233,7 +217,7 @@ def related_grids(
             p = monomial()
             q = monomial()
             pair = _pair(_mul(_mul(p, b), q), b)
-            if decide_grids(semifield, *pair, GreenRelation.H):
+            if _tropfast.decide_grids(semifield, *pair, GreenRelation.H):
                 return pair
         return _pair(*_swap_blocks(rng, semifield, n))
     if rel is GreenRelation.LEQ_J:
@@ -256,7 +240,7 @@ def unrelated_grids(
     for _ in range(MAX_ATTEMPTS):
         a = _random_grid(rng, semifield, n)
         pair = _pair(a, _random_grid(rng, semifield, n))
-        if not decide_grids(semifield, *pair, rel):
+        if not _tropfast.decide_grids(semifield, *pair, rel):
             return pair
     return None
 

@@ -142,10 +142,12 @@ def check_params(name: str, params: SuiteParams) -> _Mode:
         raise UnsupportedParams(f"suite {name} runs over {carriers} only, got {sf.value}")
     for mode in fits:
         if n in mode.sizes:
-            if mode.seeded and params.seed is None:
+            seed = params.seed
+            if mode.seeded and (isinstance(seed, bool) or not isinstance(seed, int)):
+                got = "" if seed is None else f" as an int, got {seed!r}"
                 raise UnsupportedParams(
                     f"suite {name} is {mode.label} over {sf.value} at n = {n} "
-                    "and needs an explicit seed"
+                    f"and needs an explicit seed{got}"
                 )
             return mode
     # n >= 1 here, and every mode's sizes start at 1 or are a single n

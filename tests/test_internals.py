@@ -467,26 +467,13 @@ class TestTropfast:
 
 def _assert_dispatch_matches_reference(a, b):
     for rel in _FAST_RELS:
-        assert _tropfast.decide_matrices(a, b, rel) == relate(a, b, rel), rel
+        assert (_tropfast.relate_witness(a, b, rel) is not None) == relate(a, b, rel), rel
 
 
-class TestDecideMatrices:
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.integers(0, 2**32), st.sampled_from((T, TI)), st.integers(1, 3),
-        st.sampled_from(_FAST_RELS),
-    )
-    def test_matches_reference_on_sampled_pairs(self, seed, sf, n, rel):
-        rng = random.Random(seed)
-        _assert_dispatch_matches_reference(*sampling.related_pair(rng, sf, n, rel))
-        pair = sampling.unrelated_pair(rng, sf, n, rel)
-        if pair is not None:
-            _assert_dispatch_matches_reference(*pair)
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 3).flatmap(lambda n: _pairs(T, n, (1, 2, 3, 8), (5, 9, 10), True)))
-    def test_matches_reference_mixed_denominators_and_minus_inf_lines(self, pair):
-        _assert_dispatch_matches_reference(*pair)
+class TestKernelDispatch:
+    """`_tropfast.relate_witness`, the one Matrix-pair kernel entry, and
+    `_tropfast.decide_grids`, the one dispatcher for grid pairs, agree with
+    the reference and send it everything the kernel does not take."""
 
     @pytest.mark.parametrize(
         "rows_a, rows_b",
@@ -509,12 +496,41 @@ class TestDecideMatrices:
 
     def test_other_carriers_and_relations_go_to_reference(self, monkeypatch):
         rng = random.Random(5)
-        pairs = [sampling.related_pair(rng, B, 2, rel) for rel in GR]
-        pairs.append((sampling.random_matrix(rng, B, 2), sampling.random_matrix(rng, B, 2)))
+        pairs = [sampling.related_grids(rng, B, 2, rel) for rel in GR]
+        draw = sampling._random_grid
+        pairs.append(sampling._pair(draw(rng, B, 2), draw(rng, B, 2)))
         monkeypatch.setattr(_tropfast, "decide", None)  # the kernel must not be reached
-        for a, b in pairs:
+        for pair in pairs:
+            a, b = sampling.lift_pair(B, pair)
             for rel in GR:
-                assert _tropfast.decide_matrices(a, b, rel) == relate(a, b, rel), rel
+                assert _tropfast.decide_grids(B, *pair, rel) == relate(a, b, rel), rel
+        pair = sampling.related_grids(rng, T, 2, GR.D)
+        for rel in GR:
+            if rel not in _tropfast.KERNEL_RELATIONS:
+                with pytest.raises(UndecidableOverSemifield):
+                    _tropfast.decide_grids(T, *pair, rel)
+
+    @pytest.mark.parametrize(
+        "sf, scale, rel",
+        [(B, 1, GR.L), (B, 1, GR.D), (T, 2 ** _tropfast.MAX_SCALE_BITS, GR.H)],
+    )
+    def test_reference_cases_are_decided_once(self, monkeypatch, sf, scale, rel):
+        # one relate call on the lifted pair, with no scan for a kernel scale
+        grid = ((0, None), (0, 0))
+        calls = []
+        _spy(monkeypatch, _tropfast, "relate", calls)
+        _spy(monkeypatch, _tropfast, "kernel_grids", calls)
+        expected = relate(*sampling.lift_pair(sf, (scale, grid, grid)), rel)
+        assert _tropfast.decide_grids(sf, scale, grid, grid, rel) is expected
+        assert calls == [("relate", expected)]
+
+    def test_scale_under_the_cap_takes_the_kernel(self, monkeypatch):
+        grid = ((0, None), (0, 0))
+        calls = []
+        _spy(monkeypatch, _tropfast, "relate", calls)
+        scale = 2 ** _tropfast.MAX_SCALE_BITS - 1
+        assert _tropfast.decide_grids(T, scale, grid, grid, GR.H) is True
+        assert calls == []
 
     def test_wider_than_max_side_goes_to_reference(self):
         # a 17x17 pair gets the reference verdict and compiles no kernel;
@@ -530,15 +546,6 @@ class TestDecideMatrices:
         assert _tropfast._leq_kernel.cache_info().currsize == compiled
         square = sampling.random_matrix(rng, T, side)
         assert _tropfast.kernel_grids(square, square, GR.H) is not None
-
-    def test_invalid_inputs_raise_as_the_reference_does(self):
-        a = _matrix(T, [[0, 1], [2, None]])
-        with pytest.raises(MixedSemifields):
-            _tropfast.decide_matrices(a, _matrix(TI, [[0, 1], [2, None]]), GR.L)
-        with pytest.raises(DimensionMismatch):
-            _tropfast.decide_matrices(a, _matrix(T, [[0]]), GR.H)
-        with pytest.raises(UndecidableOverSemifield):
-            _tropfast.decide_matrices(a, a, GR.D)
 
 
 #: SHA-256 of the JSON of every draw `_sampler_stream` makes, and the next
@@ -625,16 +632,17 @@ class TestGridSampler:
             assert sampling._nonzero(fast, B) == (0, 1)
         assert fast.getstate() == slow.getstate()
 
-    def test_kernel_scale_is_the_admission_rule(self):
+    def test_kernel_takes_is_the_admission_rule(self):
         cap, side = _tropfast.MAX_SCALE_BITS, mx.MAX_MATRIX_SIDE
         for sf, rel in itertools.product((B, T, TI), GR):
             admitted = sf is not B and rel in _tropfast.KERNEL_RELATIONS
-            assert _tropfast.kernel_scale(sf, rel, side, (4, 6, 9)) == (36 if admitted else None)
+            assert _tropfast.kernel_takes(sf, rel, side) is admitted
         for sf in (T, TI):
-            assert _tropfast.kernel_scale(sf, GR.H, side + 1, (1,)) is None
-            assert _tropfast.kernel_scale(sf, GR.H, 2, (2**cap - 1,)) == 2**cap - 1
-            assert _tropfast.kernel_scale(sf, GR.H, 2, (2**cap,)) is None
-            assert _tropfast.kernel_scale(sf, GR.H, 2, (2 ** (cap - 1), 3)) is None
+            assert _tropfast.kernel_takes(sf, GR.H, side + 1) is False
+        assert _tropfast._capped_scale({4, 6, 9}) == 36
+        assert _tropfast._capped_scale({2**cap - 1}) == 2**cap - 1
+        assert _tropfast._capped_scale({2**cap}) is None
+        assert _tropfast._capped_scale({2 ** (cap - 1), 3}) is None
 
     @pytest.mark.parametrize("sf", (T, TI))
     def test_passing_map_loops_lift_no_pair(self, monkeypatch, sf):
@@ -680,7 +688,7 @@ def _seeded_map(sf, n, kind, map_seed):
 
 
 def _reference_decide_grids(sf, scale, agrid, bgrid, rel):
-    """`sampling.decide_grids` by the reference decider on the lifted pair."""
+    """`_tropfast.decide_grids` by the reference decider on the lifted pair."""
     return relate(*sampling.lift_pair(sf, (scale, agrid, bgrid)), rel)
 
 
@@ -701,7 +709,7 @@ class TestLyingKernel:
     @pytest.mark.parametrize("sf", (T, TI))
     def test_false_positives_do_not_become_counterexamples(self, monkeypatch, sf):
         # honest sampling, so unrelated pairs reach the strong checks
-        monkeypatch.setattr(sampling, "decide_grids", _reference_decide_grids)
+        monkeypatch.setattr(_tropfast, "decide_grids", _reference_decide_grids)
         monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel, transposes=None: True)
         mode = lm.Randomized(seed=4, trials=5)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
@@ -720,7 +728,7 @@ class TestLyingKernel:
     def test_honest_kernel_against_a_lying_sampler_is_caught(self, monkeypatch):
         # the sampler accepts every candidate pair as related; the premise
         # of the resulting counterexample fails under the reference decider
-        monkeypatch.setattr(sampling, "decide_grids", lambda sf, scale, a, b, rel: True)
+        monkeypatch.setattr(_tropfast, "decide_grids", lambda sf, scale, a, b, rel: True)
         u = _seeded_map(T, 2, "standard", 5)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             lm.check_preservation(u, GR.L, lm.Randomized(seed=0, trials=20))
@@ -947,17 +955,19 @@ class TestDecideImages:
 
         with monkeypatch.context() as m:
             m.setattr(_tropfast, "decide_images", lambda smap, scaled, rel: None)
-            m.setattr(_tropfast, "decide_matrices", relate)
             expected = _verdict_text(check())
-        verdicts, applied = [], []
+        verdicts, applied, decided = [], [], []
         _spy(monkeypatch, _tropfast, "decide_images", verdicts)
         _spy(monkeypatch, lm, "apply", applied)
+        _spy(monkeypatch, lm, "relate", decided)
         v = check()
         assert _verdict_text(v) == expected
         assert (v.outcome == "NoCounterexampleFound") is canonical
         assert verdicts and {result for _, result in verdicts} == {None}
         # both images of every pair, and again for the counterexample
         assert len(applied) == 2 * v.pairs_checked + (0 if canonical else 2)
+        # the reference decides the images of each pair once
+        assert len(decided) == v.pairs_checked
 
 
 # SHA-256 of the JSON reports (as scripts/run_suites.py writes them) of the
@@ -1392,7 +1402,7 @@ class TestRelateWitness:
         huge = _matrix(T, [[Fraction(1, 2 ** _tropfast.MAX_SCALE_BITS), 0], [1, 2]])
         monkeypatch.setattr(_tropfast, "decide", None)  # the kernel must not be reached
         for rel in _FAST_RELS:
-            assert _tropfast.decide_matrices(huge, huge, rel) is True
+            assert _tropfast.relate_witness(huge, huge, rel) is not None
 
     def test_pair_under_the_cap_takes_the_kernel(self, tmp_path, monkeypatch):
         a, b = _capped_pair(_capped_denominators()[2])

@@ -169,6 +169,17 @@ class TestClassify:
         u = UnitPermutationMap(2, T, sigma, alpha)
         assert classify(u) == NonCanonical(NonCanonicalReason.COEFFICIENTS_NOT_RANK_ONE)
 
+    def test_unit_tables_must_be_n_by_n(self):
+        u = identity_map(2, B)
+        for sigma, alpha in (
+            (u.sigma, u.alpha[:1] + ((ONE_B, ONE_B, ONE_B),)),  # a row too long
+            (u.sigma, tuple(row[:1] for row in u.alpha)),  # 2x1
+            (u.sigma + (((0, 0), (0, 1)),), u.alpha),  # a row too many
+            ((u.sigma[0], u.sigma[1] + ((1, 0),)), u.alpha),  # an extra cell
+        ):
+            with pytest.raises(mx.DimensionMismatch, match="^sigma and alpha must be n-by-n$"):
+                UnitPermutationMap(2, B, sigma, alpha)
+
     def test_synthesize_standard_example(self):
         p = mx.MonomialMatrix(2, (1, 0), (ONE_B, ONE_B))
         u = synthesize(CanonicalForm(p, monomial_identity(B, 2), False), 2, B)
@@ -389,6 +400,11 @@ class TestPreservation:
         assert relate(v.counterexample.a, v.counterexample.b, GR.L)
         assert not relate(v.counterexample.image_a, v.counterexample.image_b, GR.L)
 
+    @pytest.mark.parametrize("seed", (None, True, 1.0, "7"))
+    def test_randomized_rejects_a_seed_that_is_not_an_int(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an int, got "):
+            Randomized(seed=seed)
+
     def test_randomized_rejects_trials_below_one(self):
         with pytest.raises(ValueError, match="^trials must be at least 1, got 0$"):
             check_preservation(
@@ -578,7 +594,7 @@ class TestSticky:
 
     @pytest.mark.parametrize("sf", (T, TI))
     def test_passing_search_builds_only_its_candidates(self, monkeypatch, sf):
-        calls = {"_sticky_pair": 0, "decide_matrices": 0, "lift": 0}
+        calls = {"_sticky_pair": 0, "relate": 0, "lift": 0}
 
         def counted(owner, name):
             real = getattr(owner, name)
@@ -590,11 +606,11 @@ class TestSticky:
             monkeypatch.setattr(owner, name, wrapper)
 
         counted(lm, "_sticky_pair")
-        counted(_tropfast, "decide_matrices")
+        counted(_tropfast, "relate")
         counted(_tropfast, "lift")
         rep = find_sticky(sf, Randomized(seed=42, trials=50))
         assert rep.outcome == "NoCandidateFound" and rep.candidates == 50
-        assert calls == {"_sticky_pair": 0, "decide_matrices": 0, "lift": 50}
+        assert calls == {"_sticky_pair": 0, "relate": 0, "lift": 50}
 
     @pytest.mark.parametrize("sf", (T, TI))
     def test_grid_arithmetic_matches_the_matrix_reference(self, sf):

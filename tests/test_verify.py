@@ -44,6 +44,19 @@ class TestSuitePlumbing:
         with pytest.raises(UnsupportedParams):
             run_suite("t1", SuiteParams(semifield=B, n=3))
 
+    @pytest.mark.parametrize("seed", (True, False, 1.5, "42"))
+    def test_seeded_suites_reject_a_seed_that_is_not_an_int(self, seed):
+        for name, params in (
+            ("h_theorem", SuiteParams(semifield=T, n=2, seed=seed)),
+            ("corollaries", SuiteParams(semifield=T, n=2, seed=seed)),
+            ("t1", SuiteParams(semifield=B, n=3, seed=seed)),
+        ):
+            message = f"needs an explicit seed as an int, got {seed!r}$"
+            with pytest.raises(UnsupportedParams, match=message):
+                verify.check_params(name, params)
+        # an unseeded mode ignores the seed
+        verify.check_params("t1", SuiteParams(semifield=B, n=2, seed=seed))
+
     @pytest.mark.parametrize(
         "field, cap, name, base",
         [
