@@ -31,23 +31,23 @@ these integers: the sampling module draws, multiplies and
 rejection-tests matrices as grids, and hands out a pair as ``(L, a, b)``
 at one common scale, the form `kernel_grids` gives two matrices.  A
 drawn pair becomes `Matrix` objects only when it is lifted (`lift`).
+Every grid pair, map images included, is decided by `decide_grids`, the
+one dispatcher; `relate_witness` is the one entry for `Matrix` pairs.
 Three kinds of caller use the kernel:
 
-* the sampler decides its rejection tests on its own grids through
-  `decide_grids`, the one dispatcher for grid pairs; the sticky search of
-  the linear_maps module decides its pairs there too, each candidate and
-  its k drawn as integers at their lcm, and lifts only the candidate and
-  a refuting k;
+* the sampler decides its rejection tests on its own grids; the sticky
+  search of the linear_maps module decides its pairs too, each candidate
+  and its k drawn as integers at their lcm, and lifts only the candidate
+  and a refuting k;
 * the two randomized map loops, the ``corollaries`` suite of the verify
   module and the randomized preservation and exchange checks of the
   linear_maps module, scale each map once (`scale_map`) and take each
   pair as the sampler drew it; ``linear_maps.first_counterexample``
-  decides their pairs.  `decide_images` meets the two scales in the image
-  function of the pair's width, which writes both images in row
-  orientation and transposed, and `decide` reads the transposes for the
-  leqR part.  Only a counterexample, or a pair the kernel does not take,
-  is lifted, has its images built as `Matrix` objects and is decided by
-  ``green.relate``;
+  decides their pairs by `decide_images`.  It meets the two scales in
+  the image function of the pair's width, which writes both images in
+  row orientation and transposed, and hands them to `decide_grids`, so
+  `decide` reads the transposes for the leqR part.  Only a counterexample
+  is lifted and has its images built as `Matrix` objects;
 * ``greenmat relate`` goes through `relate_witness`, which also builds
   the witness as the integer principal solution (`principal_solution`)
   and multiplies it out on integers (`max_plus`) before returning it.
@@ -55,21 +55,21 @@ Three kinds of caller use the kernel:
 The image function is generated like the leqL kernel: `_image_source`
 writes one block per destination cell, made from the int width alone,
 and `_image_kernel` compiles it on first use and keeps one function per
-width, so its cache is bounded by the widths as well (16 entries).  The
-map enters as data, its inverse cell index and its coefficients in
-destination order, so no map is ever compiled: there are up to
-``2*(n!)**2`` canonical maps alone.  It compiles in 0.8 ms at width 3,
-4.6 ms at width 8 and 19 ms at width 16 (same VM).
+width.  A map, like a matrix, has a side of at most 16, so that cache
+too has 16 entries at most.  The map enters as data, its inverse cell
+index and its coefficients in destination order, so no map is ever
+compiled: there are up to ``2*(n!)**2`` canonical maps alone.  It
+compiles in 0.8 ms at width 3, 4.6 ms at width 8 and 19 ms at width 16
+(same VM).
 
 A pair reaches the kernel only where `kernel_takes` holds, the one
-statement of the rule that `kernel_grids`, `decide_grids` and the map
-loops read: the tropical carriers, the relations above, and square
-matrices of one size up to 16.  Its common scale must also have at most
-MAX_SCALE_BITS bits: `kernel_grids` tests the lcm of a pair's
-denominators with `_capped_scale`, `decide_grids` the scale it is given,
-and `decide_images` the scale it gives a pair and a map.
-Everything else (the boolean carrier, D, J, leqJ, invalid input) goes to
-the green module, and so do over-cap pairs: the lcm of many large
+statement of the rule that `kernel_grids` and `decide_grids` read: the
+tropical carriers, the relations above, and square matrices of one size
+up to 16.  Its common scale must also have at most MAX_SCALE_BITS bits:
+`kernel_grids` tests the lcm of a pair's denominators with
+`_capped_scale`, `decide_grids` the scale it is given.  Everything else
+(the boolean carrier, D, J, leqJ, invalid input) goes to the green
+module, and so do over-cap pairs: the lcm of many large
 distinct denominators grows with their sum, and integer residuation at
 such scales is slower than Fraction residuation (see MAX_SCALE_BITS).
 The cap is tested with an early-exit lcm, so a hostile pair costs little
@@ -332,14 +332,16 @@ def related(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
 
 
 def decide_grids(
-    semifield: Semifield, scale: int, agrid: tuple, bgrid: tuple, rel: GreenRelation
+    semifield: Semifield, scale: int, agrid: tuple, bgrid: tuple, rel: GreenRelation,
+    transposes: tuple | None = None,
 ) -> bool:
     """Decide ``a rel b`` for two grids at one scale: on the kernel where
     `kernel_takes` holds and ``scale`` has at most MAX_SCALE_BITS bits, else
     by ``green.relate`` on the lifted matrices (the boolean carrier, D, J,
-    leqJ, sides above 16)."""
+    leqJ, sides above 16, over-cap scales).  ``transposes`` are handed to
+    `decide` as they are."""
     if kernel_takes(semifield, rel, len(agrid)) and scale.bit_length() <= MAX_SCALE_BITS:
-        return decide(agrid, bgrid, rel)
+        return decide(agrid, bgrid, rel, transposes)
     return relate(lift(semifield, scale, agrid), lift(semifield, scale, bgrid), rel)
 
 
@@ -525,26 +527,24 @@ def scale_map(u) -> tuple[int, tuple[int, ...], tuple]:
     return (scale, *_destination_order(cells, icoeffs))
 
 
-def decide_images(smap: tuple, scaled: tuple, rel: GreenRelation) -> bool | None:
-    """Decide ``T(a) rel T(b)`` on the kernel, or None when the common
-    scale of map and pair passes MAX_SCALE_BITS.
+def decide_images(semifield: Semifield, smap: tuple, pair: tuple, rel: GreenRelation) -> bool:
+    """Decide ``T(a) rel T(b)`` through `decide_grids`.
 
-    ``smap`` is the map from `scale_map` and ``scaled`` a pair
+    ``smap`` is the map from `scale_map` and ``pair`` a pair
     ``(L_ab, a, b)`` of integer grids at one scale, as the sampling module
     draws it or `kernel_grids` makes it.  With coefficients at ``L_u``,
     the factors ``fc = L_ab // g`` and ``fx = L_u // g`` for
     ``g = gcd(L_ab, L_u)`` give both images at scale
     ``M = lcm(L_ab, L_u) = L_u * fc``.  The image function writes both
-    images in both orientations, so `decide` transposes nothing.
+    images in both orientations, so `decide` transposes nothing.  Where
+    the kernel does not take them, their lift at ``M`` is ``T(a), T(b)``.
     """
     scale_u, inv, coeffs = smap
-    scale_ab, ga, gb = scaled
+    scale_ab, ga, gb = pair
     g = gcd(scale_ab, scale_u)
     fc, fx = scale_ab // g, scale_u // g
-    if (scale_u * fc).bit_length() > MAX_SCALE_BITS:
-        return None
     ia, ib, ta, tb = _image_kernel(len(ga))(ga, gb, inv, coeffs, fc, fx)
-    return decide(ia, ib, rel, (ta, tb))
+    return decide_grids(semifield, scale_u * fc, ia, ib, rel, (ta, tb))
 
 
 def apply_map(cells: tuple[int, ...], coeffs: tuple, xgrid: tuple, n: int) -> tuple:

@@ -32,10 +32,10 @@ from .green import (
     GreenRelation,
     decidable_over,
     has_factor_rank_at_most_one,
-    relate,
     relate_witness,
 )
 from .matrix import (
+    MAX_MATRIX_SIDE,
     DimensionMismatch,
     Matrix,
     MonomialMatrix,
@@ -61,6 +61,12 @@ class UnsupportedMode(ValueError):
     """The requested check mode is unavailable for this relation/semifield/size."""
 
 
+def _require_side(n: int) -> None:
+    """Maps act on the sides a matrix may have, 1 to MAX_MATRIX_SIDE."""
+    if not 1 <= n <= MAX_MATRIX_SIDE:
+        raise DimensionMismatch(f"maps act on sizes 1 to {MAX_MATRIX_SIDE}, got {n}")
+
+
 @dataclass(frozen=True)
 class LinearMap:
     """A linear map given by the images of all matrix units, row-major."""
@@ -70,8 +76,7 @@ class LinearMap:
     images: tuple[tuple[Matrix, ...], ...]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DimensionMismatch("maps act on positive sizes")
+        _require_side(self.n)
         if len(self.images) != self.n or any(len(r) != self.n for r in self.images):
             raise DimensionMismatch("need one image per matrix unit")
         for row in self.images:
@@ -93,6 +98,7 @@ class UnitPermutationMap:
 
     def __post_init__(self):
         n = self.n
+        _require_side(n)
         for table in (self.sigma, self.alpha):
             if len(table) != n or any(len(row) != n for row in table):
                 raise DimensionMismatch("sigma and alpha must be n-by-n")
@@ -327,6 +333,8 @@ class Randomized:
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if isinstance(self.trials, bool) or not isinstance(self.trials, int):
+            raise ValueError(f"trials must be an int, got {self.trials!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
 
@@ -388,8 +396,7 @@ def check_preservation(
     strong: bool = False,
 ) -> Verdict:
     """Does u preserve rel?  Strong mode also requires preserving its negation."""
-    name = f"{'strongly preserves' if strong else 'preserves'} {rel.value}"
-    return _check(u, mode, name, strong, ((rel, rel),), ("unrelated", "related"), "Preserved")
+    return _check(u, mode, strong, ((rel, rel),))
 
 
 def check_exchange(
@@ -400,64 +407,62 @@ def check_exchange(
 ) -> Verdict:
     """Does u exchange the two relations (a tau b implies T(a) rho T(b), both ways)?"""
     rel1, rel2 = pair
-    name = (
-        f"{'strongly exchanges' if strong else 'exchanges'} {rel1.value} with {rel2.value}"
-    )
-    return _check(
-        u, mode, name, strong, ((rel1, rel2), (rel2, rel1)),
-        ("not {}-related", "{}-related"), "Exchanges",
-    )
+    if rel1 is rel2:
+        raise UnsupportedMode(f"{rel1.value} cannot be exchanged with itself; check preservation")
+    return _check(u, mode, strong, ((rel1, rel2), (rel2, rel1)))
 
 
 def _check(
     u: UnitPermutationMap,
     mode: Mode,
-    name: str,
     strong: bool,
     directions: tuple[tuple[GreenRelation, GreenRelation], ...],
-    texts: tuple[str, str],
-    passed: str,
 ) -> Verdict:
     """Check that a src b implies T(a) dst T(b) for each (src, dst) in
     directions, and in strong mode that unrelated pairs stay unrelated.
 
-    ``texts`` name the images in the details of the two kinds of
-    counterexample; ``{}`` stands for dst.  ``passed`` is the outcome of
-    an exhaustive check that finds nothing.
+    The one builder of a `Verdict`: its labels follow from the directions.
+    One direction (rel, rel) is "preserves rel", two are "exchanges src
+    with dst"; a check that finds nothing is Preserved or Exchanges when
+    exhaustive, NoCounterexampleFound when randomized, which also reports
+    its seed.
     """
+    (src, dst), *_ = directions
+    name = f"preserves {src.value}" if src is dst else f"exchanges {src.value} with {dst.value}"
+    name = f"strongly {name}" if strong else name
     rels = [src for src, _ in directions]
     if isinstance(mode, Exhaustive):
         _exhaustive_pre(u, rels)
-        return _check_exhaustive(u, name, strong, directions, texts, passed)
-    if isinstance(mode, Randomized):
+        checked, cx = _check_exhaustive(u, strong, directions)
+        label, passed, seed = "exhaustive", "Preserved" if src is dst else "Exchanges", None
+    elif isinstance(mode, Randomized):
         _randomized_pre(u, rels)
-        return _check_randomized(u, mode, name, strong, directions, texts)
-    raise UnsupportedMode(f"unknown mode {mode!r}")
+        checked, cx = _check_randomized(u, mode, strong, directions)
+        label, passed, seed = "randomized", "NoCounterexampleFound", mode.seed
+    else:
+        raise UnsupportedMode(f"unknown mode {mode!r}")
+    return Verdict(name, passed if cx is None else "Counterexample", label, checked, cx, seed)
 
 
-def _check_exhaustive(u, name, strong, directions, texts, passed) -> Verdict:
+def _check_exhaustive(u, strong, directions) -> tuple[int, CounterexamplePair | None]:
     """Every pair of boolean matrices, in one `_boolspace.first_violation` scan."""
     sp = _boolspace.space(u.n)
     tmap = [_boolspace.act_on_bits(u.cells, m) for m in range(sp.size)]
     table_pairs = [(sp.table(src), sp.table(dst)) for src, dst in directions]
     checked, hit = _boolspace.first_violation(table_pairs, tmap, strong)
     if hit is None:
-        return Verdict(name, passed, "exhaustive", checked)
+        return checked, None
     a, b, k, holds = hit
-    src, dst = directions[k]
     ma, mb = sp.matrix_of(a), sp.matrix_of(b)
-    cx = _reverified_counterexample(u, ma, mb, src, dst, holds, texts)
-    return Verdict(name, "Counterexample", "exhaustive", checked, cx)
+    return checked, _reverified_counterexample(u, ma, mb, *directions[k], holds)
 
 
 def _check_randomized(
     u: UnitPermutationMap,
     mode: Randomized,
-    name: str,
     strong: bool,
     directions: tuple[tuple[GreenRelation, GreenRelation], ...],
-    texts: tuple[str, str],
-) -> Verdict:
+) -> tuple[int, CounterexamplePair | None]:
     """Seeded related (and in strong mode unrelated) pairs for each direction.
 
     The map is scaled once, each pair is drawn as integer grids, and each
@@ -474,15 +479,15 @@ def _check_randomized(
                 if pair is None:  # the unrelated draw gave up
                     continue
                 checked += 1
-                _, cx = first_counterexample(u, smap, [pair], src, dst, holds, texts)
+                _, cx = first_counterexample(u, smap, [pair], src, dst, holds)
                 if cx is not None:
-                    return Verdict(name, "Counterexample", "randomized", checked, cx, mode.seed)
-    return Verdict(name, "NoCounterexampleFound", "randomized", checked, None, mode.seed)
+                    return checked, cx
+    return checked, None
 
 
 def first_counterexample(
     u: UnitPermutationMap, smap: tuple, pairs: list, src: GreenRelation, dst: GreenRelation,
-    holds: bool, texts: tuple[str, str],
+    holds: bool,
 ) -> tuple[int, CounterexamplePair | None]:
     """The count of ``pairs`` checked, and the first ``(a, b)`` among them
     with ``u(a) dst u(b)`` not ``holds`` as a `_reverified_counterexample`,
@@ -490,36 +495,32 @@ def first_counterexample(
 
     ``smap`` is `_tropfast.scale_map(u)` and ``pairs`` holds each pair as
     ``(L, a, b)``, integer grids at one scale, as `sampling.related_grids`
-    draws it.  Where the kernel takes dst over the map's carrier and size
-    (`_tropfast.kernel_takes`), `_tropfast.decide_images` decides the
-    images; it caps the scale at which it meets the pair, a multiple of L,
-    so it caps L too.  Elsewhere, and where it returns None, the pair is
-    lifted to matrices and ``green.relate`` decides the images built by
-    `apply`.
+    draws it.  `_tropfast.decide_images` decides every pair's images, on
+    the kernel or by the reference; only a counterexample is lifted to
+    matrices.
     """
     sf = u.semifield
-    kernel = _tropfast.kernel_takes(sf, dst, u.n)
     for checked, pair in enumerate(pairs, 1):
-        verdict = _tropfast.decide_images(smap, pair, dst) if kernel else None
-        if verdict is None:
+        if _tropfast.decide_images(sf, smap, pair, dst) != holds:
             a, b = sampling.lift_pair(sf, pair)
-            verdict = relate(apply(u, a), apply(u, b), dst)
-        if verdict != holds:
-            a, b = sampling.lift_pair(sf, pair)
-            return checked, _reverified_counterexample(u, a, b, src, dst, holds, texts)
+            return checked, _reverified_counterexample(u, a, b, src, dst, holds)
     return len(pairs), None
 
 
-def _reverified_counterexample(u, a, b, src, dst, holds: bool, texts):
+def _reverified_counterexample(u, a, b, src, dst, holds: bool):
     """A counterexample to ``a src b => T(a) dst T(b)`` (holds) or to its
     converse, once the reference decider agrees on premise and conclusion.
-    The witness certifies whichever side is related."""
+    The witness certifies whichever side is related.  The detail calls the
+    images "unrelated" or "related" when src is dst, else "not dst-related"
+    or "dst-related"."""
     ta, tb = apply(u, a), apply(u, b)
     _tropfast.reverify(a, b, src, holds)
     _tropfast.reverify(ta, tb, dst, not holds)
     witness = relate_witness(a, b, src) if holds else relate_witness(ta, tb, dst)
-    premise, images = ("holds", texts[0]) if holds else ("fails", texts[1])
-    detail = f"a {src.value} b {premise} but the images are {images.format(dst.value)}"
+    related = "related" if src is dst else f"{dst.value}-related"
+    unrelated = "unrelated" if src is dst else f"not {related}"
+    premise, images = ("holds", unrelated) if holds else ("fails", related)
+    detail = f"a {src.value} b {premise} but the images are {images}"
     return CounterexamplePair(a, b, ta, tb, detail, witness)
 
 

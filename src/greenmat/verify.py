@@ -122,13 +122,14 @@ def check_params(name: str, params: SuiteParams) -> _Mode:
     UnknownSuite or UnsupportedParams before any work is done."""
     if name not in _SUITES:
         raise UnknownSuite(f"no suite named {name!r}; choose from {', '.join(_SUITES)}")
-    if params.n < 1:
-        raise UnsupportedParams(f"n must be at least 1, got {params.n}")
-    for field, cap in (("trials", MAX_TRIALS), ("monomial_pairs", MAX_MONOMIAL_PAIRS)):
+    caps = (("n", None), ("trials", MAX_TRIALS), ("monomial_pairs", MAX_MONOMIAL_PAIRS))
+    for field, cap in caps:
         value = getattr(params, field)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise UnsupportedParams(f"{field} must be an int, got {value!r}")
         if value < 1:
             raise UnsupportedParams(f"{field} must be at least 1, got {value}")
-        if value > cap:
+        if cap is not None and value > cap:
             raise UnsupportedParams(f"{field} must be at most {cap}, got {value}")
     if params.semifield is not Semifield.BOOLEAN and params.n > MAX_TROPICAL_N:
         raise UnsupportedParams(
@@ -465,10 +466,7 @@ def _corollaries_randomized(params: SuiteParams):
             smap = _tropfast.scale_map(u)
             for rel in pool_rels:
                 target = image[rel]
-                checked, cx = first_counterexample(
-                    u, smap, pools[rel], rel, target, True,
-                    ("not {}-related", "{}-related"),
-                )
+                checked, cx = first_counterexample(u, smap, pools[rel], rel, target, True)
                 pair_checks += checked
                 if cx is not None:
                     witnesses.append(

@@ -334,7 +334,7 @@ def _assert_images_match_reference(u, a, b):
         lifted = [[None if v is None else Fraction(v, common) for v in row] for row in grid]
         assert lifted == _values(image)
     for rel in _FAST_RELS:
-        assert _tropfast.decide_images(smap, scaled, rel) == relate(ua, ub, rel), rel
+        assert _tropfast.decide_images(u.semifield, smap, scaled, rel) == relate(ua, ub, rel), rel
     return fc, fx
 
 
@@ -379,6 +379,7 @@ class TestTropfast:
             "import greenmat, greenmat.cli, greenmat.verify\n"
             "from greenmat import _tropfast as tf\n"
             "from greenmat.green import GreenRelation as GR\n"
+            "from greenmat.semiring import Semifield\n"
             "def sizes():\n"
             "    caches = (tf._leq_kernel, tf._image_kernel)\n"
             "    return tuple(c.cache_info().currsize for c in caches)\n"
@@ -389,7 +390,7 @@ class TestTropfast:
             "        tf.decide(g, g, rel)\n"
             "    smap = (1, tuple(range(n * n)), (0,) * (n * n))\n"
             "    for rel in (GR.H, GR.L):\n"
-            "        tf.decide_images(smap, (1, g, g), rel)\n"
+            "        tf.decide_images(Semifield.TROPICAL, smap, (1, g, g), rel)\n"
             "    seen.append(sizes())\n"
             "print(seen)\n"
         )
@@ -687,8 +688,12 @@ def _seeded_map(sf, n, kind, map_seed):
     return lm.synthesize(lm.CanonicalForm(p, q, kind == "transpose"), n, sf)
 
 
-def _reference_decide_grids(sf, scale, agrid, bgrid, rel):
-    """`_tropfast.decide_grids` by the reference decider on the lifted pair."""
+def _reference_decide_grids(sf, scale, agrid, bgrid, rel, transposes=None):
+    """`_tropfast.decide_grids` by the reference decider on the lifted pair,
+    except for map images, which come with their transposes: those still
+    go to the kernel's `decide`."""
+    if transposes is not None:
+        return _tropfast.decide(agrid, bgrid, rel, transposes)
     return relate(*sampling.lift_pair(sf, (scale, agrid, bgrid)), rel)
 
 
@@ -708,7 +713,8 @@ class TestLyingKernel:
 
     @pytest.mark.parametrize("sf", (T, TI))
     def test_false_positives_do_not_become_counterexamples(self, monkeypatch, sf):
-        # honest sampling, so unrelated pairs reach the strong checks
+        # honest sampling, so unrelated pairs reach the strong checks, and
+        # the lying kernel on the map images
         monkeypatch.setattr(_tropfast, "decide_grids", _reference_decide_grids)
         monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel, transposes=None: True)
         mode = lm.Randomized(seed=4, trials=5)
@@ -727,8 +733,14 @@ class TestLyingKernel:
 
     def test_honest_kernel_against_a_lying_sampler_is_caught(self, monkeypatch):
         # the sampler accepts every candidate pair as related; the premise
-        # of the resulting counterexample fails under the reference decider
-        monkeypatch.setattr(_tropfast, "decide_grids", lambda sf, scale, a, b, rel: True)
+        # of the resulting counterexample fails under the reference decider.
+        # Map images, which come with their transposes, are decided honestly
+        decide_grids = _tropfast.decide_grids
+
+        def lying(sf, scale, a, b, rel, transposes=None):
+            return transposes is None or decide_grids(sf, scale, a, b, rel, transposes)
+
+        monkeypatch.setattr(_tropfast, "decide_grids", lying)
         u = _seeded_map(T, 2, "standard", 5)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             lm.check_preservation(u, GR.L, lm.Randomized(seed=0, trials=20))
@@ -828,7 +840,7 @@ class TestDecideImages:
             for a, b in (related, other):
                 scaled = _tropfast.kernel_grids(a, b, rel)
                 grids.clear()
-                verdict = _tropfast.decide_images(smap, scaled, rel)
+                verdict = _tropfast.decide_images(sf, smap, scaled, rel)
                 ta, tb = lm.apply(u, a), lm.apply(u, b)
                 assert verdict == relate(ta, tb, rel), (sf, n, kind, rel)
                 common = lcm(scaled[0], smap[0])
@@ -873,7 +885,7 @@ class TestDecideImages:
             for rel in _FAST_RELS:
                 for i, ga in enumerate(grids):
                     expected = table[rel][image[i]]
-                    got = [_tropfast.decide_images(smap, (1, ga, gb), rel) for gb in grids]
+                    got = [_tropfast.decide_images(T, smap, (1, ga, gb), rel) for gb in grids]
                     assert got == [expected[j] for j in image], (perm, rel, ga)
 
     @settings(max_examples=80, deadline=None)
@@ -913,20 +925,27 @@ class TestDecideImages:
         fc, fx = _assert_images_match_reference(u, a, b)
         assert fx == 2 and fc == (1 if mx.is_zero_matrix(a) and mx.is_zero_matrix(b) else 3)
 
-    def test_common_scale_cap_boundary(self):
+    def test_common_scale_cap_boundary(self, monkeypatch):
+        # under the cap the kernel decides the images; over it the reference
+        # decides them, lifted, with the same verdict
         cap = _tropfast.MAX_SCALE_BITS
         zero, third = _matrix(T, [[0]]), _matrix(T, [[Fraction(1, 3)]])
+        calls = []
+        _spy(monkeypatch, _tropfast, "relate", calls)
 
-        def verdict(map_den, x):
+        def decider(map_den, x):
             alpha = ((semiring.value(T, Fraction(1, map_den)),),)
             smap = _tropfast.scale_map(lm.UnitPermutationMap(1, T, (((0, 0),),), alpha))
-            return _tropfast.decide_images(smap, _tropfast.kernel_grids(x, x, GR.L), GR.L)
+            calls.clear()
+            pair = _tropfast.kernel_grids(x, x, GR.L)
+            assert _tropfast.decide_images(T, smap, pair, GR.L) is True
+            return {(): "kernel", (("relate", True),): "reference"}[tuple(calls)]
 
-        assert verdict(2 ** (cap - 1), zero) is True
-        assert verdict(2**cap, zero) is None
+        assert decider(2 ** (cap - 1), zero) == "kernel"
+        assert decider(2**cap, zero) == "reference"
         # each scale alone fits; their lcm 3 * 2^(cap - 1) does not
-        assert verdict(2 ** (cap - 2), third) is True
-        assert verdict(2 ** (cap - 1), third) is None
+        assert decider(2 ** (cap - 2), third) == "kernel"
+        assert decider(2 ** (cap - 1), third) == "reference"
 
     @pytest.mark.parametrize("sf", (T, TI))
     def test_passing_canonical_checks_build_no_matrix_images(self, monkeypatch, sf):
@@ -953,21 +972,24 @@ class TestDecideImages:
         def check():
             return lm.check_preservation(u, GR.H, mode, strong=True)
 
+        def reference(sf, smap, pair, rel):
+            a, b = sampling.lift_pair(sf, pair)
+            return relate(lm.apply(u, a), lm.apply(u, b), rel)
+
         with monkeypatch.context() as m:
-            m.setattr(_tropfast, "decide_images", lambda smap, scaled, rel: None)
+            m.setattr(_tropfast, "decide_images", reference)
             expected = _verdict_text(check())
-        verdicts, applied, decided = [], [], []
-        _spy(monkeypatch, _tropfast, "decide_images", verdicts)
+        applied, decided = [], []
         _spy(monkeypatch, lm, "apply", applied)
-        _spy(monkeypatch, lm, "relate", decided)
+        _spy(monkeypatch, _tropfast, "relate", decided)
         v = check()
         assert _verdict_text(v) == expected
         assert (v.outcome == "NoCounterexampleFound") is canonical
-        assert verdicts and {result for _, result in verdicts} == {None}
-        # both images of every pair, and again for the counterexample
-        assert len(applied) == 2 * v.pairs_checked + (0 if canonical else 2)
-        # the reference decides the images of each pair once
-        assert len(decided) == v.pairs_checked
+        # every pair is over the cap: the reference decides its images once,
+        # and re-verifies premise and conclusion of the counterexample
+        assert len(decided) == v.pairs_checked + (0 if canonical else 2)
+        # Matrix images are built for the counterexample alone
+        assert len(applied) == (0 if canonical else 2)
 
 
 # SHA-256 of the JSON reports (as scripts/run_suites.py writes them) of the
@@ -1173,6 +1195,30 @@ def test_exhaustive_exchange_verdicts_match_golden(pair):
         for strong in (False, True)
     ]
     assert _exhaustive_digest(texts) == _EXHAUSTIVE_EXCHANGE_GOLDEN[pair]
+
+
+# SHA-256 over `_verdict_text` of seeded randomized checks over the boolean
+# carrier, recorded while their images were built by `linear_maps.apply` and
+# decided by green.relate: weak and strong preservation of L, R, H, leqL,
+# leqR and D, then both exchanges, on each of the 24 cell maps at n = 2 in
+# enumeration order, at seed 31 and 15 trials.
+_BOOLEAN_RANDOMIZED_GOLDEN = "14924134780d15438dd221d18777b7581220c0579fcb16d0a63a4b3d7fd22f9d"
+
+
+def test_boolean_randomized_verdicts_match_golden():
+    mode = lm.Randomized(seed=31, trials=15)
+    rels = (GR.L, GR.R, GR.H, GR.LEQ_L, GR.LEQ_R, GR.D)
+    texts = []
+    for u in _exhaustive_maps(2):
+        for strong in (False, True):
+            texts += [
+                _verdict_text(lm.check_preservation(u, rel, mode, strong=strong)) for rel in rels
+            ]
+            texts += [
+                _verdict_text(lm.check_exchange(u, mode, strong=strong, pair=pair))
+                for pair in ((GR.L, GR.R), (GR.LEQ_L, GR.LEQ_R))
+            ]
+    assert _exhaustive_digest(texts) == _BOOLEAN_RANDOMIZED_GOLDEN
 
 
 # --- greenmat relate on the tropical carriers -----------------------------

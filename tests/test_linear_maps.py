@@ -180,6 +180,21 @@ class TestClassify:
             with pytest.raises(mx.DimensionMismatch, match="^sigma and alpha must be n-by-n$"):
                 UnitPermutationMap(2, B, sigma, alpha)
 
+    def test_maps_act_on_sides_up_to_max_matrix_side(self):
+        # a randomized check compiles one image function per side, and
+        # matrices stop at MAX_MATRIX_SIDE, so maps do too
+        side = mx.MAX_MATRIX_SIDE
+        u = identity_map(side, B)
+        assert to_linear_map(u).n == u.n == side
+        message = f"^maps act on sizes 1 to {side}, got {side + 1}$"
+        wide = tuple(tuple((i, j) for j in range(side + 1)) for i in range(side + 1))
+        with pytest.raises(mx.DimensionMismatch, match=message):
+            UnitPermutationMap(side + 1, B, wide, tuple((ONE_B,) * (side + 1) for _ in wide))
+        with pytest.raises(mx.DimensionMismatch, match=message):
+            LinearMap(side + 1, B, ())
+        with pytest.raises(mx.DimensionMismatch, match=f"^maps act on sizes 1 to {side}, got 0$"):
+            UnitPermutationMap(0, B, (), ())
+
     def test_synthesize_standard_example(self):
         p = mx.MonomialMatrix(2, (1, 0), (ONE_B, ONE_B))
         u = synthesize(CanonicalForm(p, monomial_identity(B, 2), False), 2, B)
@@ -404,6 +419,18 @@ class TestPreservation:
     def test_randomized_rejects_a_seed_that_is_not_an_int(self, seed):
         with pytest.raises(ValueError, match="^seed must be an int, got "):
             Randomized(seed=seed)
+
+    @pytest.mark.parametrize("trials", (True, 2.5, "3"))
+    def test_randomized_rejects_trials_that_are_not_an_int(self, trials):
+        # True would run one trial, and 2.5 end in a TypeError from range
+        with pytest.raises(ValueError, match=f"^trials must be an int, got {trials!r}$"):
+            Randomized(seed=1, trials=trials)
+
+    @pytest.mark.parametrize("mode", (Exhaustive(), Randomized(seed=1, trials=5)))
+    def test_exchange_of_a_relation_with_itself_is_rejected(self, mode):
+        for rel in (GR.L, GR.H, GR.LEQ_R):
+            with pytest.raises(UnsupportedMode, match=f"^{rel.value} cannot be exchanged"):
+                check_exchange(transposition_map(2, B), mode, pair=(rel, rel))
 
     def test_randomized_rejects_trials_below_one(self):
         with pytest.raises(ValueError, match="^trials must be at least 1, got 0$"):

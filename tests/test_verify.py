@@ -74,6 +74,28 @@ class TestSuitePlumbing:
                 run_suite(name, params)
         assert cap == 10 * getattr(SuiteParams(), field)
 
+    @pytest.mark.parametrize(
+        "name, field, value",
+        [
+            ("t2", "n", True),
+            ("corollaries", "n", 2.0),
+            ("corollaries", "trials", 2.5),
+            ("corollaries", "trials", True),
+            ("corollaries", "monomial_pairs", 3.0),
+            ("h_theorem", "trials", "5"),
+        ],
+    )
+    def test_suite_counts_must_be_ints(self, name, field, value):
+        # bools compare as ints and floats as counts, so only a type check
+        # keeps them out of the reports and the loops
+        base = SuiteParams(n=2) if name == "t2" else SuiteParams(semifield=T, n=2, seed=1)
+        params = dataclasses.replace(base, **{field: value})
+        message = f"^{field} must be an int, got {re.escape(repr(value))}$"
+        with pytest.raises(UnsupportedParams, match=message):
+            verify.check_params(name, params)
+        with pytest.raises(UnsupportedParams, match=message):
+            run_suite(name, params)
+
     def test_check_params_admits_only_what_runs(self):
         # every request check_params accepts runs without UnsupportedParams,
         # so run_suites.py, which checks every run first, starts no bad one
