@@ -21,7 +21,8 @@ as ``green.PREORDERS`` orients them, and composes L, R and H from them by
 the column loop of one template, so each entry is a local variable.  The
 source is made from the int width alone and compiled on first use, never
 at import; `_leq_kernel`
-keeps one kernel per width for the life of the module.  `kernel_takes`
+keeps one kernel per width for the life of the module, and `decide` looks
+its width's kernel up once per verdict.  `kernel_takes`
 admits no side above ``matrix.MAX_MATRIX_SIDE`` = 16, so the program
 compiles at most 16 kernels.  A kernel compiles in 0.4 ms at width 3
 and 1.6 ms at width 16 (a 2-vCPU Xeon VM, Python 3.11.7).
@@ -35,10 +36,12 @@ Every grid pair, map images included, is decided by `decide_grids`, the
 one dispatcher; `relate_witness` is the one entry for `Matrix` pairs.
 Three kinds of caller use the kernel:
 
-* the sampler decides its rejection tests on its own grids; the sticky
-  search of the linear_maps module decides its pairs too, each candidate
-  and its k drawn as integers at their lcm, and lifts only the candidate
-  and a refuting k;
+* the sampler decides its rejection tests on its own grids, and
+  multiplies them by `max_plus`, which takes a factor for each grid so
+  that two grids at different scales multiply at their lcm as they are;
+  the sticky search of the linear_maps module decides its pairs too,
+  each candidate and its k drawn as integers at their lcm, and lifts a
+  candidate only when it survives or its refutation is read;
 * the two randomized map loops, the ``corollaries`` suite of the verify
   module and the randomized preservation and exchange checks of the
   linear_maps module, scale each map once (`scale_map`) and take each
@@ -65,9 +68,11 @@ compiles in 0.8 ms at width 3, 4.6 ms at width 8 and 19 ms at width 16
 A pair reaches the kernel only where `kernel_takes` holds, the one
 statement of the rule that `kernel_grids` and `decide_grids` read: the
 tropical carriers, the relations above, and square matrices of one size
-up to 16.  Its common scale must also have at most MAX_SCALE_BITS bits:
-`kernel_grids` tests the lcm of a pair's denominators with
-`_capped_scale`, `decide_grids` the scale it is given.  Everything else
+up to 16.  `GreenRelation` and `Semifield` hash by identity, so the test
+runs once per pair without a hash written in Python.  Its common scale
+must also have at most MAX_SCALE_BITS bits: `kernel_grids` tests the lcm
+of a pair's denominators with `_capped_scale`, `decide_grids` the scale
+it is given.  Everything else
 (the boolean carrier, D, J, leqJ, invalid input) goes to the green
 module, and so do over-cap pairs: the lcm of many large
 distinct denominators grows with their sum, and integer residuation at
@@ -115,8 +120,9 @@ _COMPOSED.update(
     if green.PREORDERS.keys() >= set(parts)
 )
 
-#: The relations the integer kernel decides.
+#: The relations and carriers the integer kernel decides.
 KERNEL_RELATIONS = frozenset(_COMPOSED)
+_KERNEL_CARRIERS = frozenset(sf for sf in Semifield if sf.is_tropical)
 
 #: The largest common scale, in bits, at which a pair of matrices reaches
 #: the kernel.  Scaling by the lcm loses to Fraction residuation once the
@@ -187,8 +193,9 @@ def _capped_scale(dens: set) -> int | None:
 def kernel_takes(semifield: Semifield, rel: GreenRelation, side: int) -> bool:
     """Whether the kernel decides ``a rel b`` for two side-by-side matrices
     over ``semifield``: L, R, H, leqL and leqR over the tropical carriers,
-    up to MAX_MATRIX_SIDE.  The scale cap is `_capped_scale`'s."""
-    return rel in KERNEL_RELATIONS and semifield.is_tropical and side <= MAX_MATRIX_SIDE
+    up to MAX_MATRIX_SIDE.  The scale cap is `_capped_scale`'s.  Both enums
+    hash by identity, so neither membership test calls into Python."""
+    return rel in KERNEL_RELATIONS and semifield in _KERNEL_CARRIERS and side <= MAX_MATRIX_SIDE
 
 
 def kernel_grids(a: Matrix, b: Matrix, rel: GreenRelation) -> tuple | None:
@@ -309,18 +316,20 @@ def decide(
 
     ``transposes`` is ``(transpose_grid(agrid), transpose_grid(bgrid))``
     where the caller has built them already (`decide_images`); the leqR
-    part reads them instead of transposing.
+    part reads them instead of transposing.  The width's kernel is looked
+    up once, and every `leq_l` part runs on it.
     """
     try:
         parts, both = _COMPOSED[rel]
     except KeyError:
         raise ValueError(f"no fast decider for {rel.value}") from None
+    leq = _leq_kernel(len(agrid[0]))
     for _, transposed in parts:
         if transposed:
             x, y = transposes or (transpose_grid(agrid), transpose_grid(bgrid))
         else:
             x, y = agrid, bgrid
-        if not leq_l(x, y) or both and not leq_l(y, x):
+        if not leq(x, y) or both and not leq(y, x):
             return False
     return True
 
@@ -369,12 +378,20 @@ def principal_solution(agrid: tuple, bgrid: tuple) -> tuple:
     return tuple(out)
 
 
-def max_plus(sgrid: tuple, bgrid: tuple) -> tuple:
-    """The max-plus product of two integer grids."""
+def max_plus(sgrid: tuple, bgrid: tuple, fs: int = 1, fb: int = 1) -> tuple:
+    """The max-plus product of ``fs * s`` and ``fb * b`` for integer grids:
+    ``s`` and ``b`` at scales ``L/fs`` and ``L/fb`` multiply to the product
+    at scale ``L``.  The columns of ``b`` are built once, times ``fb``."""
+    if fb == 1:
+        cols = tuple(zip(*bgrid))
+    else:
+        cols = [[None if y is None else y * fb for y in col] for col in zip(*bgrid)]
     out = []
     for srow in sgrid:
+        if fs != 1:
+            srow = [None if x is None else x * fs for x in srow]
         orow = []
-        for bcol in zip(*bgrid):
+        for bcol in cols:
             acc = None
             for x, y in zip(srow, bcol):
                 if x is not None and y is not None and (acc is None or x + y > acc):

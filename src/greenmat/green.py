@@ -48,6 +48,9 @@ class GreenRelation(enum.Enum):
     D = "D"
     J = "J"
 
+    # identity hash, as for `semiring.Semifield`
+    __hash__ = object.__hash__
+
 
 #: The pre-orders each equivalence needs in both directions, in the order
 #: they are decided: L, R and J are leqL, leqR and leqJ both ways, and H is

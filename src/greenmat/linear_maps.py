@@ -389,6 +389,16 @@ def _randomized_pre(u: UnitPermutationMap, rels) -> None:
             )
 
 
+def _require_kinds(u: UnitPermutationMap, rels) -> None:
+    """Reject a map over something that is not a `Semifield`, and a
+    relation that is not a `GreenRelation`."""
+    if not isinstance(u.semifield, Semifield):
+        raise UnsupportedMode(f"unknown semifield {u.semifield!r}")
+    for r in rels:
+        if not isinstance(r, GreenRelation):
+            raise UnsupportedMode(f"unknown relation {r!r}")
+
+
 def check_preservation(
     u: UnitPermutationMap,
     rel: GreenRelation,
@@ -396,6 +406,7 @@ def check_preservation(
     strong: bool = False,
 ) -> Verdict:
     """Does u preserve rel?  Strong mode also requires preserving its negation."""
+    _require_kinds(u, (rel,))
     return _check(u, mode, strong, ((rel, rel),))
 
 
@@ -406,6 +417,7 @@ def check_exchange(
     pair: tuple[GreenRelation, GreenRelation] = (GreenRelation.L, GreenRelation.R),
 ) -> Verdict:
     """Does u exchange the two relations (a tau b implies T(a) rho T(b), both ways)?"""
+    _require_kinds(u, pair)
     rel1, rel2 = pair
     if rel1 is rel2:
         raise UnsupportedMode(f"{rel1.value} cannot be exchanged with itself; check preservation")
@@ -534,10 +546,25 @@ STICKY_K_SAMPLES = 8
 
 @dataclass(frozen=True)
 class StickyRefutation:
-    m: Matrix
+    """How one candidate fails: S2 (factor rank below 2) or S3 (A_k and B_k
+    not H-related at k).  The candidate is kept as its integer grid at a
+    scale and k as its ``(p, q)`` draws for p/q, as the search drew them;
+    ``m`` and ``k`` are lifted when read."""
+
+    semifield: Semifield
+    scale: int
+    grid: tuple
     failed: str  # "S2" or "S3"
-    k: SemifieldValue | None
+    k_draws: tuple[int, int] | None
     k_is_square_root_witness: bool
+
+    @property
+    def m(self) -> Matrix:
+        return _tropfast.lift(self.semifield, self.scale, self.grid)
+
+    @property
+    def k(self) -> SemifieldValue | None:
+        return None if self.k_draws is None else sampling._value(self.semifield, *self.k_draws)
 
 
 @dataclass(frozen=True)
@@ -598,25 +625,22 @@ def _square_root(semifield: Semifield, scale: int, grid: tuple) -> tuple[int, in
 
 
 def _refute_candidate(
-    m: Matrix, scale: int, grid: tuple, ks: list[tuple[int, int, bool]]
+    semifield: Semifield, scale: int, grid: tuple, ks: list[tuple[int, int, bool]]
 ) -> StickyRefutation | None:
-    """The refutation of the candidate m, which is ``grid`` at ``scale``: S2
-    when its factor rank is below 2, else the first k = p/q among ks, each
+    """The refutation of the candidate ``grid`` at ``scale``: S2 when its
+    factor rank is below 2, else the first k = p/q among ks, each
     ``(p, q, is_witness)``, with A_k and B_k not H-related; None if all
     survive.
 
-    Each pair is decided as grids by `_tropfast.decide_grids`; only the
-    refuting k becomes a scalar.  A survivor would refute the paper, so
-    every k is re-decided on matrices by the reference first.
+    Each pair is decided as grids by `_tropfast.decide_grids`, and nothing
+    is lifted.
     """
     if not _rank_two(grid):
-        return StickyRefutation(m, "S2", None, False)
-    sf = m.semifield
+        return StickyRefutation(semifield, scale, grid, "S2", None, False)
     for p, q, is_witness in ks:
-        if not _tropfast.decide_grids(sf, *_sticky_grids(scale, grid, p, q), GreenRelation.H):
-            return StickyRefutation(m, "S3", sampling._value(sf, p, q), is_witness)
-    for p, q, _ in ks:
-        _tropfast.reverify(*_sticky_pair(m, sampling._value(sf, p, q)), GreenRelation.H, True)
+        pair = _sticky_grids(scale, grid, p, q)
+        if not _tropfast.decide_grids(semifield, *pair, GreenRelation.H):
+            return StickyRefutation(semifield, scale, grid, "S3", (p, q), is_witness)
     return None
 
 
@@ -628,8 +652,11 @@ def find_sticky(semifield: Semifield, mode: Mode) -> StickyReport:
     Exhaustive() searches the boolean carrier, Randomized(seed, trials)
     a tropical one.  Both hand `_refute_candidate` each candidate as an
     integer grid at a scale, as `sampling` draws matrices, and its k as
-    ``(p, q)`` draws; only the candidate is lifted to a `Matrix`.
+    ``(p, q)`` draws; a candidate becomes a `Matrix` only when it survives
+    or its refutation's ``m`` is read.
     """
+    if not isinstance(semifield, Semifield):
+        raise UnsupportedMode(f"unknown semifield {semifield!r}")
     if isinstance(mode, Exhaustive):
         if semifield is not Semifield.BOOLEAN:
             raise UnsupportedMode("exhaustive sticky search is boolean-only")
@@ -649,10 +676,14 @@ def find_sticky(semifield: Semifield, mode: Mode) -> StickyReport:
     survivor = None
     for scale, grid, ks in stream:
         candidates += 1
-        m = _tropfast.lift(semifield, scale, grid)
-        refutation = _refute_candidate(m, scale, grid, ks)
+        refutation = _refute_candidate(semifield, scale, grid, ks)
         if refutation is None:
-            survivor = m
+            # a survivor would refute the paper, so every k is re-decided
+            # on matrices by the reference first
+            survivor = _tropfast.lift(semifield, scale, grid)
+            for p, q, _ in ks:
+                k = sampling._value(semifield, p, q)
+                _tropfast.reverify(*_sticky_pair(survivor, k), GreenRelation.H, True)
             break
         refutations.append(refutation)
     return StickyReport(

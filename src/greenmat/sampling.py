@@ -8,12 +8,17 @@ Nonzero tropical entries are fractions p/q with p uniform in
 Matrices are drawn, multiplied and rejection-tested on the integers of
 the max-plus kernel (the _tropfast module): a grid of ints and None
 (zero) at a scale ``L`` stands for the matrix of the payloads ``v/L``.  A
-drawn matrix is at the lcm of its denominators, a product
-(`_tropfast.max_plus`) at the lcm of its factors' scales, and a scalar
-multiple is a shift.  Every scale divides ``lcm(1, ..., Q_BOUND)``, of
-1438 bits, so it is always within `_tropfast.MAX_SCALE_BITS`.  The
+drawn matrix is at the lcm of its denominators, a product at the lcm of
+its factors' scales, and a scalar multiple is a shift.  `_random_grid`
+draws a matrix in one loop, with the draws of `_nonzero` written out per
+entry; over tropical_int and the boolean carrier it is at scale 1 as
+drawn.  `_mul` hands `_tropfast.max_plus` both factors as drawn, with the
+factors that bring each to the common scale, so neither is rescaled
+before it is multiplied.  Every scale divides ``lcm(1, ..., Q_BOUND)``,
+of 1438 bits, so it is always within `_tropfast.MAX_SCALE_BITS`.  The
 boolean carrier is its copy {None, 0} inside max-plus, at scale 1.
-Each rejection test is one `_tropfast.decide_grids` call.
+Each rejection test is one `_tropfast.decide_grids` call, whose
+admission test `_tropfast.kernel_takes` hashes no enum member in Python.
 
 `related_grids` and `unrelated_grids` return a pair as ``(L, a, b)``, both
 grids at one scale L: the form `_tropfast.kernel_grids` gives a pair of
@@ -99,13 +104,33 @@ def _scaled(cells: list, n: int) -> tuple[int, tuple]:
 def _random_grid(rng: random.Random, semifield: Semifield, n: int) -> tuple[int, tuple]:
     """A random matrix: each entry zero with probability ZERO_PROB, else,
     over the boolean carrier, zero or one with equal odds, else a nonzero
-    scalar."""
+    scalar.  The draws are `_nonzero`'s, written out in one loop."""
     rnd = rng.random
-    boolean = semifield is Semifield.BOOLEAN
-    return _scaled([
-        None if rnd() < ZERO_PROB or boolean and rnd() >= 0.5 else _nonzero(rng, semifield)
-        for _ in range(n * n)
-    ], n)
+    if semifield is Semifield.BOOLEAN:
+        ints = [None if rnd() < ZERO_PROB or rnd() >= 0.5 else 0 for _ in range(n * n)]
+        return 1, tuple(zip(*[iter(ints)] * n))
+    bits = rng.getrandbits
+    fractions = semifield is Semifield.TROPICAL
+    ps, qs = [], []
+    for _ in range(n * n):
+        if rnd() < ZERO_PROB:
+            ps.append(None)
+            qs.append(1)
+            continue
+        p = bits(_P_BITS)
+        while p >= _P_WIDTH:
+            p = bits(_P_BITS)
+        ps.append(p - P_BOUND)
+        if fractions:
+            q = bits(_Q_BITS)
+            while q >= Q_BOUND:
+                q = bits(_Q_BITS)
+            qs.append(q + 1)
+    if not fractions:
+        return 1, tuple(zip(*[iter(ps)] * n))
+    scale = lcm(*qs)
+    ints = [None if p is None else p * (scale // q) for p, q in zip(ps, qs)]
+    return scale, tuple(zip(*[iter(ints)] * n))
 
 
 def random_matrix(rng: random.Random, semifield: Semifield, n: int) -> Matrix:
@@ -136,7 +161,8 @@ def _monomial_grid(rng: random.Random, semifield: Semifield, n: int) -> tuple[in
 def _rescaled(grid: tuple, factor: int) -> tuple:
     if factor == 1:
         return grid
-    return tuple(tuple(None if v is None else v * factor for v in row) for row in grid)
+    # a tuple of a list comprehension is built faster than of a generator
+    return tuple([tuple([None if v is None else v * factor for v in row]) for row in grid])
 
 
 def _pair(a: tuple[int, tuple], b: tuple[int, tuple]) -> tuple[int, tuple, tuple]:
@@ -148,8 +174,9 @@ def _pair(a: tuple[int, tuple], b: tuple[int, tuple]) -> tuple[int, tuple, tuple
 
 def _mul(x: tuple[int, tuple], y: tuple[int, tuple]) -> tuple[int, tuple]:
     """The product ``x*y``, at the lcm of the two scales."""
-    scale, gx, gy = _pair(x, y)
-    return scale, _tropfast.max_plus(gx, gy)
+    (lx, gx), (ly, gy) = x, y
+    scale = lcm(lx, ly)
+    return scale, _tropfast.max_plus(gx, gy, scale // lx, scale // ly)
 
 
 def _scalar_mul(c: tuple[int, int], x: tuple[int, tuple]) -> tuple[int, tuple]:
@@ -157,7 +184,9 @@ def _scalar_mul(c: tuple[int, int], x: tuple[int, tuple]) -> tuple[int, tuple]:
     (p, q), (lx, gx) = c, x
     scale = lcm(lx, q)
     factor, shift = scale // lx, p * (scale // q)
-    return scale, tuple(tuple(None if v is None else v * factor + shift for v in row) for row in gx)
+    return scale, tuple([
+        tuple([None if v is None else v * factor + shift for v in row]) for row in gx
+    ])
 
 
 def _swap_blocks(

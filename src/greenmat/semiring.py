@@ -45,6 +45,11 @@ class Semifield(enum.Enum):
     TROPICAL = "tropical"
     TROPICAL_INT = "tropical_int"
 
+    # members are singletons compared by identity, so the identity hash
+    # agrees with equality; `Enum.__hash__` hashes the name in Python code,
+    # once per set or dict lookup
+    __hash__ = object.__hash__
+
     @property
     def is_tropical(self) -> bool:
         return self is not Semifield.BOOLEAN

@@ -131,6 +131,8 @@ def check_params(name: str, params: SuiteParams) -> _Mode:
             raise UnsupportedParams(f"{field} must be at least 1, got {value}")
         if cap is not None and value > cap:
             raise UnsupportedParams(f"{field} must be at most {cap}, got {value}")
+    if not isinstance(params.semifield, Semifield):
+        raise UnsupportedParams(f"semifield must be a Semifield, got {params.semifield!r}")
     if params.semifield is not Semifield.BOOLEAN and params.n > MAX_TROPICAL_N:
         raise UnsupportedParams(
             f"suites over a tropical carrier are limited to n <= {MAX_TROPICAL_N}, "

@@ -1,6 +1,7 @@
 """CLI behavior: outputs, exit codes, determinism, strict parsing."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -399,6 +400,21 @@ class TestScripts:
         captured = capsys.readouterr()
         assert captured.out == ""  # nothing was searched or drawn
         assert captured.err == f"error: {error}\n"
+
+    @pytest.mark.parametrize(
+        "semifield, digest",
+        [
+            ("tropical", "10c66abd4afa04aedfc62a7e50aa5953a1fe86fbf661614390924f9efc776afc"),
+            ("tropical_int", "48d10c4a5c94cfc0a285f3f55ea0987c2241acddeeefdd8cdc6cbe0cf8ffcc6c"),
+            ("boolean", "c279438f7e9ae06597987b7079b593f8a05766ce558c4fc5d2e32af82ad0d0a8"),
+        ],
+    )
+    def test_sticky_search_output_is_byte_identical_to_golden(self, capsys, semifield, digest):
+        # SHA-256 of the stdout of `search_sticky.py --semifield S --show 50`,
+        # recorded while every candidate was lifted to a Matrix as it was drawn
+        assert _script_main("search_sticky")(["--semifield", semifield, "--show", "50"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_boolean_sticky_search_refutes_its_one_candidate_by_s2(self, capsys):
         assert _script_main("search_sticky")(["--semifield", "boolean"]) == 0

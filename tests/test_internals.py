@@ -633,6 +633,23 @@ class TestGridSampler:
             assert sampling._nonzero(fast, B) == (0, 1)
         assert fast.getstate() == slow.getstate()
 
+    @pytest.mark.parametrize("sf", (B, T, TI))
+    def test_grid_draw_is_the_per_entry_draws(self, sf):
+        # the draw as it was written before it was one loop: a zero test per
+        # entry, a coin over the boolean carrier, else one `_nonzero` call
+        def per_entry(rng, n):
+            cells = [
+                None if rng.random() < sampling.ZERO_PROB or sf is B and rng.random() >= 0.5
+                else sampling._nonzero(rng, sf)
+                for _ in range(n * n)
+            ]
+            return sampling._scaled(cells, n)
+
+        for n, seed in itertools.product((1, 2, 3, 4), range(60)):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert sampling._random_grid(fast, sf, n) == per_entry(slow, n), (n, seed)
+            assert fast.getstate() == slow.getstate()
+
     def test_kernel_takes_is_the_admission_rule(self):
         cap, side = _tropfast.MAX_SCALE_BITS, mx.MAX_MATRIX_SIDE
         for sf, rel in itertools.product((B, T, TI), GR):
@@ -1366,6 +1383,47 @@ def _capped_pair(last_den):
     d2, d3, _ = _capped_denominators()
     a = _matrix(T, [[Fraction(1, d2), 0, None], [2, Fraction(-7, d3), 1], [0, None, Fraction(3, last_den)]])
     return a, mx.scalar_mul(semiring.value(T, Fraction(5, 3)), a)
+
+
+def _times(grid, f):
+    return tuple(tuple(None if v is None else v * f for v in row) for row in grid)
+
+
+class TestMaxPlus:
+    """`_tropfast.max_plus(s, b, fs, fb)` is the product of ``fs*s`` and
+    ``fb*b``: lifted at one scale L, it is `matrix.mat_mul` of the lifted
+    factors."""
+
+    @pytest.mark.parametrize("sf", (T, TI))
+    @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 16))
+    def test_matches_mat_mul(self, sf, n):
+        rng = random.Random(n)
+
+        def grid(blank_row=None, blank_col=None):
+            return tuple(
+                tuple(
+                    None if i == blank_row or j == blank_col or rng.random() < 0.25
+                    else rng.randint(-60, 60)
+                    for j in range(n)
+                )
+                for i in range(n)
+            )
+
+        blank = ((None,) * n,) * n
+        cases = [(grid(), grid()) for _ in range(3)]
+        cases += [(grid(blank_row=0), grid(blank_col=n - 1)), (blank, grid()), (grid(), blank)]
+        for (fs, fb), (s, b) in itertools.product(((1, 1), (1, 5), (4, 1), (3, 7)), cases):
+            # over tropical the factors are at scales L/fs and L/fb
+            scale = fs * fb if sf is T else 1
+            product = _tropfast.max_plus(s, b, fs, fb)
+            lifted = mat_mul(
+                _tropfast.lift(sf, scale, _times(s, fs)), _tropfast.lift(sf, scale, _times(b, fb))
+            )
+            assert _tropfast.lift(sf, scale, product) == lifted, (fs, fb, s, b)
+            if sf is T:
+                assert _tropfast.lift(T, scale // fs, s) == _tropfast.lift(T, scale, _times(s, fs))
+            if (fs, fb) == (1, 1):
+                assert product == _tropfast.max_plus(s, b)
 
 
 class TestRelateWitness:

@@ -96,6 +96,15 @@ class TestSuitePlumbing:
         with pytest.raises(UnsupportedParams, match=message):
             run_suite(name, params)
 
+    @pytest.mark.parametrize("name", ("t2", "corollaries", "h_theorem"))
+    def test_semifield_that_is_not_a_semifield_is_rejected(self, name):
+        params = SuiteParams(semifield="boolean", n=2, seed=1)
+        message = "^semifield must be a Semifield, got 'boolean'$"
+        with pytest.raises(UnsupportedParams, match=message):
+            verify.check_params(name, params)
+        with pytest.raises(UnsupportedParams, match=message):
+            run_suite(name, params)
+
     def test_check_params_admits_only_what_runs(self):
         # every request check_params accepts runs without UnsupportedParams,
         # so run_suites.py, which checks every run first, starts no bad one
