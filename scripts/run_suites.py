@@ -57,8 +57,8 @@ def tropical_battery(seed: int, trials: int, monomial_pairs: int):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seed", type=int, default=42, help="seed for the randomized suites")
-    parser.add_argument("--trials", type=int, default=1000)
-    parser.add_argument("--monomial-pairs", type=int, default=100)
+    parser.add_argument("--trials", type=int, default=SuiteParams.trials)
+    parser.add_argument("--monomial-pairs", type=int, default=SuiteParams.monomial_pairs)
     parser.add_argument("--json-dir", type=pathlib.Path, default=None)
     args = parser.parse_args(argv)
 

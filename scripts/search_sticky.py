@@ -30,7 +30,7 @@ def main(argv=None) -> int:
         choices=["boolean", "tropical", "tropical_int"],
     )
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--trials", type=int, default=1000)
+    parser.add_argument("--trials", type=int, default=SuiteParams.trials)
     parser.add_argument("--show", type=int, default=3, help="refutations to print in full")
     args = parser.parse_args(argv)
 

@@ -25,8 +25,8 @@ the column space alone and is searched once per distinct column key.
 
 `d_witness` and `leq_j_witness` are the searches behind the D, J and
 leqJ witnesses of green.relate_witness.  Every exhaustive preservation
-or exchange check, of one map or of all of them, is one
-`first_violation` scan over the tables.
+or exchange check is one `first_violation` scan over the tables, made
+by `linear_maps._check_exhaustive`, which re-verifies what it finds.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ def matrix_to_index(a: Matrix) -> int:
 
 class BooleanSpace:
     def __init__(self, n: int):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"exhaustive boolean workspace size must be an int, got {n!r}")
         if not 1 <= n <= MAX_BOUNDED_N:
             raise ValueError(f"exhaustive boolean workspace supports 1 <= n <= {MAX_BOUNDED_N}")
         self.n = n

@@ -206,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--semifield", default="boolean", choices=_SEMIFIELD_CHOICES)
     p_verify.add_argument("--n", type=int, default=2)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--trials", type=int, default=1000)
+    p_verify.add_argument("--trials", type=int, default=SuiteParams.trials)
     p_verify.add_argument("--style", default="json", choices=["json", "text"])
     p_verify.set_defaults(func=_cmd_verify)
 

@@ -53,6 +53,8 @@ def _number_classes(rows: list[int]) -> list[int]:
 
 def eggbox(n: int) -> EggBox:
     """The egg-box decomposition of all n-by-n boolean matrices, n <= 3."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise UnsupportedParams(f"egg-box size must be an int, got {n!r}")
     if not 1 <= n <= MAX_BOUNDED_N:
         raise UnsupportedParams(f"egg-box decomposition is available for 1 <= n <= {MAX_BOUNDED_N}")
     sp = space(n)

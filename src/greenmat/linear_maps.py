@@ -12,9 +12,10 @@ seeded random pairs (tropical).
 
 The cell-structure test is `cell_shape`, shared with the exhaustive
 suites.  Preservation and exchange are one check over (src, dst)
-directions: exhaustively it is one `_boolspace.first_violation` scan of
-the relation tables, and every counterexample, exhaustive or randomized,
-is re-decided by the reference decider before it is reported.
+directions, which decides every map verdict of the exhaustive suites too:
+exhaustively it is one `_boolspace.first_violation` scan of the relation
+tables, and every counterexample, exhaustive or randomized, is
+re-decided by the reference decider before it is reported.
 """
 
 from __future__ import annotations
@@ -62,7 +63,9 @@ class UnsupportedMode(ValueError):
 
 
 def _require_side(n: int) -> None:
-    """Maps act on the sides a matrix may have, 1 to MAX_MATRIX_SIDE."""
+    """Maps act on the sides a matrix may have, ints 1 to MAX_MATRIX_SIDE."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise DimensionMismatch(f"a map's size must be an int, got {n!r}")
     if not 1 <= n <= MAX_MATRIX_SIDE:
         raise DimensionMismatch(f"maps act on sizes 1 to {MAX_MATRIX_SIDE}, got {n}")
 

@@ -7,6 +7,9 @@ runs for a request is read from one table, `_SUITES`, that lists each
 suite's modes with their carriers, sizes and seed needs; `check_params`
 selects the mode and `run_suite` wraps its result in a SuiteReport whose
 JSON form is byte-stable for fixed parameters.
+Every exhaustive boolean map verdict is a `check_preservation` or
+`check_exchange` verdict, so the reference decider re-checks each
+refutation a table scan finds.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from math import factorial
 from typing import Callable
 
 from . import _tropfast, sampling, semiring
-from ._boolspace import act_on_bits, all_cell_maps, first_violation, space
+from ._boolspace import act_on_bits, all_cell_maps, matrix_to_index, space
 from .green import MAX_BOUNDED_N, GreenRelation, decidable_over, factor_rank
 from .linear_maps import (
     IMAGE_RELATION,
@@ -187,25 +190,23 @@ def _preserves(shape: str | None, rels) -> bool:
 
 
 def _preserver_sets(n: int, rels):
-    """Scan every cell map at size n against the tables of rels.
+    """Decide every cell map at size n by `check_preservation` of each rel.
 
     Returns (shapes, expected, preservers, pairs): shapes maps each cell
     map to its `cell_shape`, expected is the set of cell maps whose shape
     preserves every rel, preservers[rel] is the set of cell maps that
-    preserve rel, and pairs counts the premise pairs the scans checked.
+    preserve rel, and pairs sums the verdicts' `pairs_checked`.
     """
-    sp = space(n)
-    tables = [(rel, sp.table(rel)) for rel in rels]
     shapes: dict[tuple[int, ...], str | None] = {}
     preservers: dict[GreenRelation, set[tuple[int, ...]]] = {rel: set() for rel in rels}
     pairs = 0
     for cells in all_cell_maps(n):
         shapes[cells] = cell_shape(cells, n)
-        tmap = [act_on_bits(cells, m) for m in range(sp.size)]
-        for rel, table in tables:
-            seen, hit = first_violation(((table, table),), tmap, False)
-            pairs += seen
-            if hit is None:
+        u = _unit_map_from_cells(cells, n)
+        for rel in rels:
+            v = check_preservation(u, rel, Exhaustive())
+            pairs += v.pairs_checked
+            if v.ok:
                 preservers[rel].add(cells)
     expected = {cells for cells, shape in shapes.items() if _preserves(shape, rels)}
     return shapes, expected, preservers, pairs
@@ -251,8 +252,8 @@ def _probe_pairs(sp, rel: GreenRelation) -> list[tuple[int, int]]:
     anti-diagonal two-unit pairs.  Each family mirrors a configuration
     used to derive the structure of preservers.  At n = 3 they refute
     every non-preserver of the 9! cell maps, leaving the 36 L-, 36 R- and
-    72 H-preservers; `_t1_sampled` still decides a map they leave by a
-    full-table scan, so its verdicts do not rest on that.
+    72 H-preservers; `_t1_sampled` still decides a map they leave by
+    `check_preservation`, so its verdicts do not rest on that.
     """
     n = sp.n
     pairs: list[tuple[int, int]] = []
@@ -296,18 +297,16 @@ def _t1_sampled(params: SuiteParams):
 
     Each (map, relation) verdict tries the probe pairs first: they are
     related, so the first one whose images are unrelated refutes the map.
-    A map that no probe refutes gets one `first_violation` scan of the
-    relation's full table, the scan `_preserver_sets` makes, with its
-    image table built once per map.  Every verdict is therefore exact,
-    and the seed draws only the map shuffles; --trials does not enter.
+    A map that no probe refutes is decided by `check_preservation` in
+    `Exhaustive` mode, as `_preserver_sets` decides every map.  Every
+    verdict is therefore exact, and the seed draws only the map shuffles;
+    --trials does not enter.  Refuting pairs are kept as bit indices.
     """
     n = params.n
     sp = space(n)
     class_counts = {"standard": 0, "transpose": 0, "non_canonical": 0}
-    total = 0
     for cells in all_cell_maps(n):
         class_counts[cell_shape(cells, n) or "non_canonical"] += 1
-        total += 1
     rels = (GreenRelation.L, GreenRelation.R, GreenRelation.H)
     probes = {rel: _probe_pairs(sp, rel) for rel in rels}
     rng = random.Random(params.seed)
@@ -318,7 +317,6 @@ def _t1_sampled(params: SuiteParams):
         rng.shuffle(cells_list)
         cells = tuple(cells_list)
         shape = cell_shape(cells, n)
-        tmap = None
         for rel in rels:
             found = None
             for a, b in probes[rel]:
@@ -328,14 +326,12 @@ def _t1_sampled(params: SuiteParams):
                     probe_refuted += 1
                     break
             else:
-                if tmap is None:
-                    tmap = [act_on_bits(cells, m) for m in range(sp.size)]
-                table = sp.table(rel)
-                seen, hit = first_violation(((table, table),), tmap, False)
-                pair_checks += seen
+                v = check_preservation(_unit_map_from_cells(cells, n), rel, Exhaustive())
+                pair_checks += v.pairs_checked
                 table_checks += 1
-                if hit is not None:
-                    found = hit[:2]
+                if not v.ok:
+                    cx = v.counterexample
+                    found = matrix_to_index(cx.a), matrix_to_index(cx.b)
             expect_preserved = _preserves(shape, (rel,))
             if expect_preserved == (found is not None):
                 witness = {
@@ -345,19 +341,14 @@ def _t1_sampled(params: SuiteParams):
                     "expected_preserved": expect_preserved,
                 }
                 if found is not None:
-                    witness["pair"] = [
-                        matrix_to_json(sp.matrix_of(found[0])),
-                        matrix_to_json(sp.matrix_of(found[1])),
-                    ]
+                    witness["pair"] = [matrix_to_json(sp.matrix_of(m)) for m in found]
                 discrepancies.append(witness)
     expected_canonical = factorial(n) ** 2
-    passed = (
-        not discrepancies
-        and class_counts["standard"] == expected_canonical
-        and class_counts["transpose"] == expected_canonical
-    )
+    witnesses = list(discrepancies)
+    if not class_counts["standard"] == class_counts["transpose"] == expected_canonical:
+        witnesses.append({"class_counts": class_counts, "expected_per_shape": expected_canonical})
     counts = {
-        "maps_classified": total,
+        "maps_classified": sum(class_counts.values()),
         "standard": class_counts["standard"],
         "transpose": class_counts["transpose"],
         "non_canonical": class_counts["non_canonical"],
@@ -368,7 +359,7 @@ def _t1_sampled(params: SuiteParams):
         "pair_checks": pair_checks,
         "discrepancies": len(discrepancies),
     }
-    return passed, counts, discrepancies
+    return not witnesses, counts, witnesses
 
 
 # --- t2: D/J/leqJ preservers are exactly the canonical maps -----------------

@@ -74,6 +74,13 @@ class TestBoolspace:
                 sum(bit[i, j] << j for j in range(n)) for i in range(n)
             )
 
+    @pytest.mark.parametrize("n", (2.0, True, "2"))
+    def test_space_sizes_must_be_ints(self, n):
+        with pytest.raises(ValueError, match="size must be an int"):
+            _boolspace.BooleanSpace(n)
+        with pytest.raises(ValueError, match="size must be an int"):
+            _boolspace.space(n)
+
     def test_act_on_bits(self):
         # the transposition of cells for n = 2 swaps the two off-diagonal bits
         cell_map = (0, 2, 1, 3)

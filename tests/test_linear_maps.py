@@ -195,6 +195,15 @@ class TestClassify:
         with pytest.raises(mx.DimensionMismatch, match=f"^maps act on sizes 1 to {side}, got 0$"):
             UnitPermutationMap(0, B, (), ())
 
+    @pytest.mark.parametrize("n", (2.0, True, "2"))
+    def test_map_sizes_must_be_ints(self, n):
+        u = identity_map(2, B)
+        message = f"^a map's size must be an int, got {n!r}$"
+        with pytest.raises(mx.DimensionMismatch, match=message):
+            UnitPermutationMap(n, B, u.sigma, u.alpha)
+        with pytest.raises(mx.DimensionMismatch, match=message):
+            LinearMap(n, B, to_linear_map(u).images)
+
     def test_synthesize_standard_example(self):
         p = mx.MonomialMatrix(2, (1, 0), (ONE_B, ONE_B))
         u = synthesize(CanonicalForm(p, monomial_identity(B, 2), False), 2, B)

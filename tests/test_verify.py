@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from greenmat import _boolspace, verify
+from greenmat import _boolspace, cli, verify
 from greenmat.eggbox import eggbox, eggbox_to_dot, eggbox_to_json
 from greenmat.green import GreenRelation, relate
 from greenmat.matrix import matrix_from_json, matrix_to_json
@@ -161,6 +161,38 @@ class TestSuitePlumbing:
                 "map_cells": [0, 1, 2, 3],
                 "membership": {**{rel: True for rel in rels}, label: False},
             }
+
+    def test_table_refutations_are_reverified(self, monkeypatch):
+        # a false entry E11 L E12 in the L table refutes every canonical map
+        # that moves E11; the reference decider rejects that refutation
+        sp = _boolspace.space(2)
+        corrupted = list(sp.l_table)
+        corrupted[0b0001] |= 1 << 0b0010
+        monkeypatch.setattr(sp, "l_table", corrupted)
+        with pytest.raises(AssertionError, match="disagrees with the reference decider"):
+            run_suite("t1", SuiteParams(semifield=B, n=2))
+
+    def test_t1_sampled_reports_class_counts_that_miss(self, monkeypatch, capsys):
+        # a classifier that misses the identity map once finds 35 standard maps
+        real, missed = verify.cell_shape, []
+
+        def cell_shape(cells, n):
+            if cells == tuple(range(n * n)) and not missed:
+                missed.append(cells)
+                return None
+            return real(cells, n)
+
+        monkeypatch.setattr(verify, "cell_shape", cell_shape)
+        r = run_suite("t1", SuiteParams(semifield=B, n=3, seed=42))
+        witness = {
+            "class_counts": {"standard": 35, "transpose": 36, "non_canonical": 362809},
+            "expected_per_shape": 36,
+        }
+        assert not r.passed and r.counts["discrepancies"] == 0
+        assert r.witnesses == (witness,)
+        missed.clear()
+        assert cli.main(["verify", "--suite", "t1", "--n", "3", "--seed", "42"]) == 1
+        assert json.loads(capsys.readouterr().out)["witnesses"] == [witness]
 
     def test_h_theorem_reports_a_sticky_survivor(self, monkeypatch):
         m = _boolspace.space(2).matrix_of(0b1111)
@@ -432,6 +464,11 @@ class TestEggbox:
     def test_size_limit(self):
         with pytest.raises(UnsupportedParams):
             eggbox(4)
+
+    @pytest.mark.parametrize("n", (2.0, True, "2"))
+    def test_sizes_must_be_ints(self, n):
+        with pytest.raises(UnsupportedParams, match="size must be an int"):
+            eggbox(n)
 
     def test_table_rows_that_are_not_classes_are_rejected(self, monkeypatch):
         # leqL's rows are down-sets, not classes, so they cannot stand for D
