@@ -3,10 +3,12 @@
 Matrix number k has a one in cell (i, j) iff bit i*n + j of k is set --
 the same total order as matrix.all_boolean_matrices.
 
-A workspace is built on integers alone, with no Matrix objects and no
-per-cell loop: the transpose of every index comes from a recurrence on
-its lowest set bit, and the row masks of every index are built on first
-use.  Only matrix_of turns an index back into a Matrix.
+A linear map over B maps a matrix to the OR of its units' images, and
+`image_table` builds the image of every index at once: the transposes,
+the row and column spans behind the keys below, every map image of an
+exhaustive check and those of lemma_bg.  `act_on_bits` maps one matrix,
+for the probe pairs of `verify._t1_sampled`.  A workspace is built on
+integers alone; only matrix_of turns an index back into a Matrix.
 
 Every relation here is decided from two keys per matrix: its row space
 and its column space, each a 2**n-bit mask of the vectors spanned (by
@@ -62,14 +64,8 @@ class BooleanSpace:
             raise ValueError(f"exhaustive boolean workspace supports 1 <= n <= {MAX_BOUNDED_N}")
         self.n = n
         self.size = 1 << (n * n)
-        # transposes one set bit at a time: the lowest set bit of m is
-        # cell c = i*n + j, whose image in the transpose is unit[c] = cell j*n + i
-        unit = [1 << (c % n * n + c // n) for c in range(n * n)]
-        transposed = [0] * self.size
-        for m in range(1, self.size):
-            low = m & -m
-            transposed[m] = transposed[m ^ low] | unit[low.bit_length() - 1]
-        self.transposed = transposed
+        # the transpose is the cell map c = i*n + j -> j*n + i
+        self.transposed = image_table([1 << (c % n * n + c // n) for c in range(n * n)])
         self.identity = sum(1 << (i * n + i) for i in range(n))
 
     @functools.cached_property
@@ -104,10 +100,7 @@ class BooleanSpace:
             for r in rows:
                 row_set |= 1 << r
             if row_set not in by_rows:
-                span = [0]
-                for r in rows:
-                    span += [v | r for v in span]
-                by_rows[row_set] = sum(1 << v for v in set(span))
+                by_rows[row_set] = sum(1 << v for v in set(image_table(rows)))
             keys.append(by_rows[row_set])
         return keys
 
@@ -222,9 +215,7 @@ class BooleanSpace:
         (row i as bit i) that x maps to the column of a.
         """
         n = self.n
-        images = [0]  # images[v] = x*v for the column vector v
-        for col in self.rows[self.transposed[x]]:
-            images += [img | col for img in images]
+        images = image_table(self.rows[self.transposed[x]])  # images[v] = x*v
         t = 0
         for j, target in enumerate(self.rows[self.transposed[a]]):
             if target not in images:
@@ -292,8 +283,19 @@ def _compose(first: list[int], second: list[int]) -> list[int]:
     return [composed[row] for row in first]
 
 
+def image_table(units) -> list[int]:
+    """The image of every index in range(2**len(units)) under the OR-linear
+    map sending bit c to units[c]: that of m is that of m without its lowest
+    set bit OR'd with that bit's unit image.  Built by doubling."""
+    table = [0]
+    for unit in units:
+        table += [v | unit for v in table]
+    return table
+
+
 def act_on_bits(cell_map: tuple[int, ...], m: int) -> int:
-    """Apply a cell permutation (a boolean unit-permutation map) to matrix bits."""
+    """Apply a cell permutation (a boolean unit-permutation map) to the
+    bits of one matrix; `image_table` gives the images of all of them."""
     out = 0
     c = 0
     while m:

@@ -462,7 +462,7 @@ def _check(
 def _check_exhaustive(u, strong, directions) -> tuple[int, CounterexamplePair | None]:
     """Every pair of boolean matrices, in one `_boolspace.first_violation` scan."""
     sp = _boolspace.space(u.n)
-    tmap = [_boolspace.act_on_bits(u.cells, m) for m in range(sp.size)]
+    tmap = _boolspace.image_table([1 << c for c in u.cells])
     table_pairs = [(sp.table(src), sp.table(dst)) for src, dst in directions]
     checked, hit = _boolspace.first_violation(table_pairs, tmap, strong)
     if hit is None:
@@ -529,14 +529,23 @@ def _reverified_counterexample(u, a, b, src, dst, holds: bool):
     images "unrelated" or "related" when src is dst, else "not dst-related"
     or "dst-related"."""
     ta, tb = apply(u, a), apply(u, b)
-    _tropfast.reverify(a, b, src, holds)
-    _tropfast.reverify(ta, tb, dst, not holds)
-    witness = relate_witness(a, b, src) if holds else relate_witness(ta, tb, dst)
+    premise_witness = _reverified_witness(a, b, src, holds)
+    image_witness = _reverified_witness(ta, tb, dst, not holds)
+    witness = premise_witness if holds else image_witness
     related = "related" if src is dst else f"{dst.value}-related"
     unrelated = "unrelated" if src is dst else f"not {related}"
     premise, images = ("holds", unrelated) if holds else ("fails", related)
     detail = f"a {src.value} b {premise} but the images are {images}"
     return CounterexamplePair(a, b, ta, tb, detail, witness)
+
+
+def _reverified_witness(a: Matrix, b: Matrix, rel: GreenRelation, expected: bool) -> dict | None:
+    """``relate_witness(a, b, rel)``, raising AssertionError unless the
+    reference decider finds ``a rel b`` to be ``expected``."""
+    witness = relate_witness(a, b, rel)
+    if (witness is not None) is not expected:
+        raise AssertionError("fast path disagrees with the reference decider")
+    return witness
 
 
 # --- sticky-matrix search ----------------------------------------------------
@@ -686,7 +695,7 @@ def find_sticky(semifield: Semifield, mode: Mode) -> StickyReport:
             survivor = _tropfast.lift(semifield, scale, grid)
             for p, q, _ in ks:
                 k = sampling._value(semifield, p, q)
-                _tropfast.reverify(*_sticky_pair(survivor, k), GreenRelation.H, True)
+                _reverified_witness(*_sticky_pair(survivor, k), GreenRelation.H, True)
             break
         refutations.append(refutation)
     return StickyReport(

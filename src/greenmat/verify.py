@@ -21,7 +21,7 @@ from math import factorial
 from typing import Callable
 
 from . import _tropfast, sampling, semiring
-from ._boolspace import act_on_bits, all_cell_maps, matrix_to_index, space
+from ._boolspace import act_on_bits, all_cell_maps, image_table, matrix_to_index, space
 from .green import MAX_BOUNDED_N, GreenRelation, decidable_over, factor_rank
 from .linear_maps import (
     IMAGE_RELATION,
@@ -258,28 +258,28 @@ def _probe_pairs(sp, rel: GreenRelation) -> list[tuple[int, int]]:
     n = sp.n
     pairs: list[tuple[int, int]] = []
     if rel in (GreenRelation.L, GreenRelation.R):
-        flip = rel is GreenRelation.R
         for j in range(n):
             for i1 in range(n):
                 for i2 in range(i1 + 1, n):
-                    a = _unit_bits(i1, j, n, flip)
-                    b = _unit_bits(i2, j, n, flip)
-                    pairs.append((a, b))
+                    pairs.append((_unit_bits(i1, j, n), _unit_bits(i2, j, n)))
         for i in range(n):
             for j1 in range(n):
                 for j2 in range(j1 + 1, n):
-                    a = _unit_bits(i, j1, n, flip) | _unit_bits(i, j2, n, flip)
+                    a = _unit_bits(i, j1, n) | _unit_bits(i, j2, n)
                     b = 0
                     for k in range(n):
-                        b |= _unit_bits(k, j1, n, flip) | _unit_bits(k, j2, n, flip)
+                        b |= _unit_bits(k, j1, n) | _unit_bits(k, j2, n)
                     pairs.append((a, b))
+        if rel is GreenRelation.R:  # leqR is leqL on the transposes (green.PREORDERS)
+            t = sp.transposed
+            pairs = [(t[a], t[b]) for a, b in pairs]
     elif rel is GreenRelation.H:
         for i1 in range(n):
             for i2 in range(i1 + 1, n):
                 for j1 in range(n):
                     for j2 in range(j1 + 1, n):
-                        a = _unit_bits(i1, j1, n, False) | _unit_bits(i2, j2, n, False)
-                        b = _unit_bits(i1, j2, n, False) | _unit_bits(i2, j1, n, False)
+                        a = _unit_bits(i1, j1, n) | _unit_bits(i2, j2, n)
+                        b = _unit_bits(i1, j2, n) | _unit_bits(i2, j1, n)
                         pairs.append((a, b))
     for a, b in pairs:
         if not sp.related(a, b, rel):
@@ -287,8 +287,8 @@ def _probe_pairs(sp, rel: GreenRelation) -> list[tuple[int, int]]:
     return pairs
 
 
-def _unit_bits(i: int, j: int, n: int, flip: bool) -> int:
-    return 1 << ((j * n + i) if flip else (i * n + j))
+def _unit_bits(i: int, j: int, n: int) -> int:
+    return 1 << (i * n + j)
 
 
 def _t1_sampled(params: SuiteParams):
@@ -546,18 +546,7 @@ def _lemma_bg(params: SuiteParams):
         unit_shaped = (
             all(m.bit_count() == 1 for m in combo) and len(set(combo)) == cells
         )
-        images = set()
-        for x in range(size):
-            y = 0
-            xs = x
-            c = 0
-            while xs:
-                if xs & 1:
-                    y |= combo[c]
-                xs >>= 1
-                c += 1
-            images.add(y)
-        is_bijection = len(images) == size
+        is_bijection = len(set(image_table(combo))) == size
         if is_bijection:
             bijective += 1
         if unit_shaped != is_bijection:

@@ -25,7 +25,7 @@ from greenmat import matrix as mx
 from greenmat.green import GreenRelation, UndecidableOverSemifield, relate
 from greenmat.matrix import DimensionMismatch, all_boolean_matrices, mat_mul
 from greenmat.semiring import MINUS_INF, MixedSemifields, Semifield
-from greenmat.verify import SuiteParams, run_suite
+from greenmat.verify import SuiteParams, _unit_map_from_cells, run_suite
 
 GR = GreenRelation
 B, T, TI = Semifield.BOOLEAN, Semifield.TROPICAL, Semifield.TROPICAL_INT
@@ -86,6 +86,42 @@ class TestBoolspace:
         cell_map = (0, 2, 1, 3)
         assert _boolspace.act_on_bits(cell_map, 0b0010) == 0b0100
         assert _boolspace.act_on_bits(cell_map, 0b1111) == 0b1111
+
+    def test_image_table_matches_act_on_bits(self):
+        # every cell map at n = 2 and a seeded sample at n = 3, on every index
+        rng = random.Random(28)
+        samples = [tuple(rng.sample(range(9), 9)) for _ in range(40)]
+        for n, cell_maps in ((2, list(_boolspace.all_cell_maps(2))), (3, samples)):
+            for cells in cell_maps:
+                table = _boolspace.image_table([1 << c for c in cells])
+                assert table == [_boolspace.act_on_bits(cells, m) for m in range(1 << (n * n))]
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_image_table_matches_brute_force_or(self, n):
+        # unit images with at most two cells, as lemma_bg enumerates them, so
+        # mostly not a permutation: every combination at n = 1, a sample at 2
+        k = n * n
+        masks = [0] + [1 << c for c in range(k)]
+        masks += [(1 << c1) | (1 << c2) for c1, c2 in itertools.combinations(range(k), 2)]
+        combos = list(itertools.product(masks, repeat=k))
+        if n == 2:
+            combos = random.Random(2).sample(combos, 300)
+        for units in combos:
+            brute = [0] * (1 << k)
+            for m in range(1 << k):
+                for c in range(k):
+                    if (m >> c) & 1:
+                        brute[m] |= units[c]
+            assert _boolspace.image_table(units) == brute, units
+
+    def test_image_table_of_rows_is_their_span_n3(self):
+        sp = _boolspace.space(3)
+        for m, rows in enumerate(sp.rows):
+            span = {0}
+            for size in (1, 2, 3):
+                for subset in itertools.combinations(rows, size):
+                    span.add(functools.reduce(int.__or__, subset))
+            assert set(_boolspace.image_table(rows)) == span, m
 
 
     @pytest.mark.parametrize("n", (1, 2))
@@ -776,13 +812,13 @@ class TestLyingKernel:
         # the conclusion is the one the reference decider refutes
         monkeypatch.setattr(_tropfast, "decide", lambda a, b, rel, transposes=None: False)
         expected = []
-        reverify = _tropfast.reverify
+        reverified_witness = lm._reverified_witness
 
         def recording(a, b, rel, want):
             expected.append(want)
-            return reverify(a, b, rel, want)
+            return reverified_witness(a, b, rel, want)
 
-        monkeypatch.setattr(_tropfast, "reverify", recording)
+        monkeypatch.setattr(lm, "_reverified_witness", recording)
         params = SuiteParams(semifield=sf, n=2, seed=1, trials=5, monomial_pairs=1)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             run_suite("corollaries", params)
@@ -799,6 +835,52 @@ class TestLyingKernel:
         params = SuiteParams(semifield=sf, n=2, seed=1, trials=5, monomial_pairs=1)
         with pytest.raises(AssertionError, match="disagrees with the reference"):
             run_suite("corollaries", params)
+
+
+class TestReverifiedCounterexample:
+    """A counterexample costs one reference decision per side, premise then
+    conclusion, and the related side's decision is the witness reported."""
+
+    @pytest.mark.parametrize(
+        "make_map, check, holds",
+        [
+            # the first pair breaks preservation or exchange (a premise that holds)
+            (lambda: _unit_map_from_cells((1, 0, 2, 3), 2),
+             lambda u: lm.check_preservation(u, GR.L, lm.Exhaustive()), True),
+            (lambda: _unit_map_from_cells((0, 1, 2, 3), 2),
+             lambda u: lm.check_exchange(u, lm.Exhaustive()), True),
+            # the first pair breaks the converse (unrelated, images related)
+            (lambda: _unit_map_from_cells((0, 2, 1, 3), 2),
+             lambda u: lm.check_preservation(u, GR.L, lm.Exhaustive(), strong=True), False),
+            (lambda: _seeded_map(T, 2, "noncanonical", 1),
+             lambda u: lm.check_preservation(u, GR.L, lm.Randomized(seed=3, trials=50)), True),
+            (lambda: _seeded_map(T, 2, "standard", 1),
+             lambda u: lm.check_exchange(u, lm.Randomized(seed=3, trials=50)), True),
+        ],
+    )
+    def test_a_counterexample_costs_two_relate_witness_calls(
+        self, monkeypatch, make_map, check, holds
+    ):
+        u = make_map()
+        calls = []
+        relate_witness = green.relate_witness
+
+        def counting(a, b, rel):
+            calls.append((a, b, rel))
+            return relate_witness(a, b, rel)
+
+        # every binding the deciders reach it through
+        monkeypatch.setattr(green, "relate_witness", counting)
+        monkeypatch.setattr(lm, "relate_witness", counting)
+        v = check(u)
+        cx = v.counterexample
+        assert v.outcome == "Counterexample"
+        assert len(calls) == 2
+        (a, b, src), (ta, tb, dst) = calls
+        assert (a, b, ta, tb) == (cx.a, cx.b, cx.image_a, cx.image_b)
+        assert cx.detail.startswith(f"a {src.value} b {'holds' if holds else 'fails'}")
+        related = (a, b, src) if holds else (ta, tb, dst)
+        assert cx.witness is not None and cx.witness == relate_witness(*related)
 
 
 def _random_canonical_map(rng, sf, n):
@@ -1003,15 +1085,17 @@ class TestDecideImages:
         with monkeypatch.context() as m:
             m.setattr(_tropfast, "decide_images", reference)
             expected = _verdict_text(check())
-        applied, decided = [], []
+        applied, decided, reverified = [], [], []
         _spy(monkeypatch, lm, "apply", applied)
         _spy(monkeypatch, _tropfast, "relate", decided)
+        _spy(monkeypatch, lm, "relate_witness", reverified)
         v = check()
         assert _verdict_text(v) == expected
         assert (v.outcome == "NoCounterexampleFound") is canonical
         # every pair is over the cap: the reference decides its images once,
         # and re-verifies premise and conclusion of the counterexample
-        assert len(decided) == v.pairs_checked + (0 if canonical else 2)
+        assert len(decided) == v.pairs_checked
+        assert len(reverified) == (0 if canonical else 2)
         # Matrix images are built for the counterexample alone
         assert len(applied) == (0 if canonical else 2)
 
