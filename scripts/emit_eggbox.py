@@ -7,12 +7,12 @@ script with one ``error:`` line on stderr and exit code 2.
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
+from greenmat.cli import format_json
 from greenmat.eggbox import eggbox, eggbox_to_dot, eggbox_to_json
 from greenmat.semiring import UnsupportedParams
 
@@ -38,7 +38,7 @@ def main(argv=None) -> int:
         text = (
             eggbox_to_dot(box)
             if args.format == "dot"
-            else json.dumps(eggbox_to_json(box), indent=2) + "\n"
+            else format_json(eggbox_to_json(box))
         )
         summary = (
             f"n={n}: {len(box.d_classes)} D-classes, "

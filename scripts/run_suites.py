@@ -10,7 +10,6 @@ and exit code 2.
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -86,7 +85,7 @@ def run_all(runs, json_dir) -> int:
         if json_dir is not None:
             stem = f"{name}_{report.semifield}_n{report.n}_{report.mode}"
             path = json_dir / f"{stem}.json"
-            path.write_text(json.dumps(report.to_json_dict(), indent=2) + "\n")
+            path.write_text(format_report(report, "json"))
     print(f"{len(runs) - failures}/{len(runs)} suites passed")
     return 1 if failures else 0
 

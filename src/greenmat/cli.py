@@ -2,10 +2,15 @@
 
 Exit codes: 0 on success, 1 when a verification suite fails, 2 on any
 parse or validation error.  All JSON output is byte-stable for fixed
-inputs, and every randomized suite requires an explicit --seed.
+inputs, and every randomized suite requires an explicit --seed.  A
+stdout closed before the output is written (``greenmat ... | head``) is
+such an error too.
 
 The argument parser is built once per process, on the first call of
-main, and reused by every later call.
+main, and reused by every later call.  argparse runs once per request:
+when the first argument names a subcommand, main hands the rest to that
+subcommand's parser alone.  Every JSON document is written by
+``format_json``, which gives the bytes of ``json.dumps(obj, indent=2)``.
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import _tropfast
 from .eggbox import eggbox, eggbox_to_dot, eggbox_to_json
@@ -50,8 +57,40 @@ class _CliError(Exception):
         self.code = code
 
 
+def format_json(obj) -> str:
+    """``json.dumps(obj, indent=2) + "\n"`` for dicts with str keys, lists,
+    tuples, str, int, bool and None.  The standard library runs its
+    pure-Python encoder whenever an indent is given; this writer leaves
+    each string to the C escaper and joins the rest itself."""
+    return _json_text(obj, "\n") + "\n"
+
+
+def _json_text(obj, pad: str) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in obj]) + pad + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2))
+    sys.stdout.write(format_json(obj))
 
 
 def _unique_keys(pairs):
@@ -155,7 +194,7 @@ def _cmd_eggbox(args) -> int:
 def format_report(r: SuiteReport, style: str = "json") -> str:
     """Render a suite report; json output is byte-stable for fixed input."""
     if style == "json":
-        return json.dumps(r.to_json_dict(), indent=2) + "\n"
+        return format_json(r.to_json_dict())
     lines = [
         f"suite {r.suite} ({r.semifield}, n={r.n}, {r.mode}): "
         f"{'PASS' if r.passed else 'FAIL'}"
@@ -175,11 +214,12 @@ def format_report(r: SuiteReport, style: str = "json") -> str:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process.  Sharing it is safe: parse_args
-    returns a new Namespace per call, argparse looks up sys.stdout and
-    sys.stderr only when it writes, and each subcommand's function reads
-    the module globals it needs when it runs."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The one parser of this process, and its subcommand parsers by name.
+    Sharing them is safe: parse_args returns a new Namespace per call,
+    argparse looks up sys.stdout and sys.stderr only when it writes, and
+    each subcommand's function reads the module globals it needs when it
+    runs."""
     parser = argparse.ArgumentParser(
         prog="greenmat",
         description="Green's relations, factor rank and preserver classification "
@@ -215,19 +255,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eggbox.add_argument("--format", default="json", choices=["json", "dot"])
     p_eggbox.set_defaults(func=_cmd_eggbox)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:  # no arguments, -h or an unknown subcommand
+        args = parser.parse_args(argv)
+    else:
+        # what the top-level parse_args would do, minus its own pass over argv
+        args, extras = command.parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # the interpreter flushes stdout once more at exit: send that to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

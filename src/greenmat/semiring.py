@@ -18,6 +18,7 @@ import enum
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 
 class SemiringError(Exception):
@@ -113,18 +114,25 @@ def value(semifield: Semifield, raw) -> SemifieldValue:
     return SemifieldValue(semifield, raw)
 
 
+# values are frozen, so each carrier's zero and one are built once and shared
+_ZERO = {
+    Semifield.BOOLEAN: SemifieldValue(Semifield.BOOLEAN, 0),
+    Semifield.TROPICAL: SemifieldValue(Semifield.TROPICAL, MINUS_INF),
+    Semifield.TROPICAL_INT: SemifieldValue(Semifield.TROPICAL_INT, MINUS_INF),
+}
+_ONE = {
+    Semifield.BOOLEAN: SemifieldValue(Semifield.BOOLEAN, 1),
+    Semifield.TROPICAL: SemifieldValue(Semifield.TROPICAL, Fraction(0)),
+    Semifield.TROPICAL_INT: SemifieldValue(Semifield.TROPICAL_INT, 0),
+}
+
+
 def zero(semifield: Semifield) -> SemifieldValue:
-    if semifield is Semifield.BOOLEAN:
-        return SemifieldValue(semifield, 0)
-    return SemifieldValue(semifield, MINUS_INF)
+    return _ZERO[semifield]
 
 
 def one(semifield: Semifield) -> SemifieldValue:
-    if semifield is Semifield.BOOLEAN:
-        return SemifieldValue(semifield, 1)
-    if semifield is Semifield.TROPICAL:
-        return SemifieldValue(semifield, Fraction(0))
-    return SemifieldValue(semifield, 0)
+    return _ONE[semifield]
 
 
 def is_zero(x: SemifieldValue) -> bool:
@@ -215,9 +223,13 @@ def parse_value(semifield: Semifield, text: str) -> SemifieldValue:
 
     Tropical text must have the shape ``-?digits(/digits)?`` within
     MAX_ENTRY_DIGITS before any number is built, so "1e5000" and
-    "1e1000000000" are rejected without being expanded.  Strictness is
-    then enforced by a round trip: the parsed value must format back to
-    the input, so "2/4", "3/1", "-0" and friends all fail.
+    "1e1000000000" are rejected without being expanded.  The text is then
+    split at "/" and each side read as an int p (and q); the entry is
+    canonical exactly when str(p) gives back the numerator text and, for
+    "p/q" over TROPICAL, q > 1, str(q) gives back the denominator text and
+    gcd(p, q) == 1.  Text this test refuses goes through a round trip,
+    which names the fault: the value parsed from the text must format
+    back to it, so "2/4", "3/1", "-0" and friends all fail.
     """
     if not isinstance(text, str):
         raise ParseError(f"expected a string, got {type(text).__name__}")
@@ -235,6 +247,15 @@ def parse_value(semifield: Semifield, text: str) -> SemifieldValue:
             f"cannot parse {shown}: expected -inf, p or p/q with at most "
             f"{MAX_ENTRY_DIGITS} digits each"
         )
+    num, _, den = text.partition("/")
+    p = int(num)
+    if str(p) == num:
+        if not den:
+            return SemifieldValue(semifield, Fraction(p) if semifield is Semifield.TROPICAL else p)
+        if semifield is Semifield.TROPICAL:
+            q = int(den)
+            if q > 1 and str(q) == den and gcd(p, q) == 1:
+                return SemifieldValue(semifield, Fraction(p, q))
     try:
         if semifield is Semifield.TROPICAL:
             parsed = value(semifield, Fraction(text))

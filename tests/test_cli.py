@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -688,3 +689,32 @@ def test_fuzzed_requests_end_cleanly_and_repeat_exactly(tmp_path_factory, reques
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert run(argv) == first
+
+
+_WRITABLE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_WRITABLE)
+def test_format_json_is_indented_dumps(obj):
+    assert cli.format_json(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+def test_closed_stdout_is_one_line_error():
+    # the reader closes before the child writes, so every write of the
+    # output meets a closed pipe
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "greenmat.cli", "eggbox", "--n", "3", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert err == "error: cannot write output: [Errno 32] Broken pipe\n"

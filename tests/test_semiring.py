@@ -1,9 +1,10 @@
 """Element-level arithmetic: worked examples plus algebraic laws."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from greenmat import semiring as sr
 from greenmat.semiring import MINUS_INF, MixedSemifields, NotInvertible, ParseError, Semifield
@@ -224,3 +225,63 @@ class TestTextForms:
     def test_minus_inf_is_a_singleton_tag(self):
         assert sr.zero(T).payload is MINUS_INF
         assert sr.zero(TI).payload is MINUS_INF
+
+
+def _round_trip_parse(sf, text):
+    """parse_value over a tropical carrier by the text round trip alone: the
+    shape check, then the value built from Fraction(text) (int(text) over
+    TROPICAL_INT) must format back to the text."""
+    if text == "-inf":
+        return sr.zero(sf)
+    if not sr._TROPICAL_TEXT.fullmatch(text):
+        shown = repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+        raise ParseError(
+            f"cannot parse {shown}: expected -inf, p or p/q with at most "
+            f"{sr.MAX_ENTRY_DIGITS} digits each"
+        )
+    try:
+        parsed = sr.value(sf, Fraction(text) if sf is T else int(text))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"cannot parse {text!r}: {exc}") from None
+    if sr.format_value(parsed) != text:
+        raise ParseError(f"{text!r} is not canonical (expected {sr.format_value(parsed)!r})")
+    return parsed
+
+
+_ENTRY_TEXT = (
+    st.text(alphabet="-0123456789/\u0663\u00b2 ", max_size=12)
+    | st.integers(-(10**12), 10**12).map(str)
+    | st.builds(lambda p, q: f"{p}/{q}", st.integers(-99, 99), st.integers(-2, 99))
+)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from([T, TI]), _ENTRY_TEXT)
+def test_parse_accepts_exactly_canonical_text_with_round_trip_messages(sf, text):
+    try:
+        canonical = sr.format_value(sr.value(sf, Fraction(text) if sf is T else int(text))) == text
+    except (ValueError, ZeroDivisionError):
+        canonical = False
+    try:
+        want = _round_trip_parse(sf, text)
+    except ParseError as exc:
+        assert not canonical
+        with pytest.raises(ParseError) as caught:
+            sr.parse_value(sf, text)
+        assert str(caught.value) == str(exc)
+    else:
+        assert canonical
+        got = sr.parse_value(sf, text)
+        assert got == want and type(got.payload) is type(want.payload)
+
+
+@pytest.mark.parametrize(
+    "sf, zero_payload, one_payload", [(B, 0, 1), (T, MINUS_INF, Fraction(0)), (TI, MINUS_INF, 0)]
+)
+def test_zero_and_one_are_shared_frozen_values(sf, zero_payload, one_payload):
+    for shared, payload in ((sr.zero(sf), zero_payload), (sr.one(sf), one_payload)):
+        assert shared == sr.SemifieldValue(sf, payload)
+        assert type(shared.payload) is type(payload)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            shared.payload = payload
+    assert sr.zero(sf) is sr.zero(sf) and sr.one(sf) is sr.one(sf)
