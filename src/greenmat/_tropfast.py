@@ -44,13 +44,14 @@ Three kinds of caller use the kernel:
   candidate only when it survives or its refutation is read;
 * the two randomized map loops, the ``corollaries`` suite of the verify
   module and the randomized preservation and exchange checks of the
-  linear_maps module, scale each map once (`scale_map`) and take each
-  pair as the sampler drew it; ``linear_maps.first_counterexample``
-  decides their pairs by `decide_images`.  It meets the two scales in
-  the image function of the pair's width, which writes both images in
-  row orientation and transposed, and hands them to `decide_grids`, so
-  `decide` reads the transposes for the leqR part.  Only a counterexample
-  is lifted and has its images built as `Matrix` objects;
+  linear_maps module, take each map in its kernel form
+  (``UnitPermutationMap.scaled``) and each pair as the sampler drew it;
+  ``linear_maps.first_counterexample`` hands a pool of pairs to
+  `first_miss`.  It meets the two scales of each pair in the image
+  function of the width, which writes both images in row orientation and
+  transposed, and hands them to `decide_grids`, so `decide` reads the
+  transposes for the leqR part.  Only a counterexample is lifted and has
+  its images built as `Matrix` objects;
 * ``greenmat relate`` goes through `relate_witness`, which also builds
   the witness as the integer principal solution (`principal_solution`)
   and multiplies it out on integers (`max_plus`) before returning it.
@@ -87,13 +88,13 @@ re-decides a verdict against the paper (a counterexample, a sticky
 survivor, a failed corollary) by the reference decider before it is
 reported.  A witness that ``relate`` reports has been multiplied out.
 
-`grid_of`, `map_rep`, `apply_map` and `related` keep the exact
-``(num, den)`` pair contract for callers that hold one matrix or one
-image at a time, such as independent oracles comparing an image with a
-reported matrix by value.  They scale and then delegate to the integer
-core, so there is one kernel and one image function.  Tests pin both
-against ``linear_maps.apply`` and the residuation decider of the green
-module.
+`grid_of`, `scale_grids`, `related`, `map_rep` and `apply_map`, grouped
+at the end, keep the exact ``(num, den)`` pair contract for the
+benchmark's oracles, which compare one image with a reported matrix by
+value.  No program path uses that form.  They scale and then delegate to
+the integer core, so there is one kernel and one image function.  Tests
+pin both against ``linear_maps.apply`` and the residuation decider of
+the green module.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from . import green, semiring
 from .matrix import MAX_MATRIX_SIDE, Matrix
@@ -133,43 +134,8 @@ _KERNEL_CARRIERS = frozenset(sf for sf in Semifield if sf.is_tropical)
 MAX_SCALE_BITS = 8192
 
 
-def grid_of(a: Matrix) -> tuple:
-    """Extract an exact (num, den) payload grid from a tropical matrix."""
-    if a.semifield is Semifield.BOOLEAN:
-        raise ValueError("the fast path is for the tropical carriers")
-    out = []
-    for row in a.entries:
-        grow = []
-        for e in row:
-            p = e.payload
-            if not isinstance(p, (int, Fraction)):
-                grow.append(None)
-            elif isinstance(p, Fraction):
-                grow.append((p.numerator, p.denominator))
-            else:
-                grow.append((p, 1))
-        out.append(tuple(grow))
-    return tuple(out)
-
-
 def transpose_grid(g: tuple) -> tuple:
     return tuple(zip(*g))
-
-
-def scale_grids(*grids: tuple) -> tuple[int, tuple]:
-    """Scale (num, den) grids by the lcm L of their denominators.
-
-    Returns ``(L, int_grids)``, one integer grid per input, in order;
-    ``None`` (-inf) stays ``None``.
-    """
-    scale = lcm(*{x[1] for g in grids for row in g for x in row if x is not None})
-    return scale, tuple(
-        tuple(
-            tuple(None if x is None else x[0] * (scale // x[1]) for x in row)
-            for row in g
-        )
-        for g in grids
-    )
 
 
 def _capped_scale(dens: set) -> int | None:
@@ -315,7 +281,7 @@ def decide(
     """Decide ``a rel b`` for integer grids at one common scale.
 
     ``transposes`` is ``(transpose_grid(agrid), transpose_grid(bgrid))``
-    where the caller has built them already (`decide_images`); the leqR
+    where the caller has built them already (`first_miss`); the leqR
     part reads them instead of transposing.  The width's kernel is looked
     up once, and every `leq_l` part runs on it.
     """
@@ -332,12 +298,6 @@ def decide(
         if not leq(x, y) or both and not leq(y, x):
             return False
     return True
-
-
-def related(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
-    """Decide ``a rel b`` for (num, den) grids."""
-    _, (a, b) = scale_grids(agrid, bgrid)
-    return decide(a, b, rel)
 
 
 def decide_grids(
@@ -450,18 +410,6 @@ def lift(sf: Semifield, scale: int, grid: tuple) -> Matrix:
     ))
 
 
-def map_rep(u) -> tuple[tuple[int, ...], tuple]:
-    """A unit-permutation map as (its cell map ``u.cells``, (num, den) coefficient grid)."""
-    coeffs = tuple(
-        tuple(
-            (p.numerator, p.denominator) if isinstance(p, Fraction) else (p, 1)
-            for p in (c.payload for c in row)
-        )
-        for row in u.alpha
-    )
-    return u.cells, coeffs
-
-
 #: The image function of one width.  `_image_source` writes one _ENTRY
 #: block per destination cell ``{d}``: the entry is read from the flat
 #: source grid at the inverse cell index ``k{d}``, and the coefficient
@@ -519,48 +467,79 @@ def _image_kernel(n: int):
     return _compiled(_image_source(n), f"<images n={n}>", "images")
 
 
-def _destination_order(cells: tuple[int, ...], icoeffs: tuple) -> tuple[tuple, tuple]:
-    """``(inv, coeffs)``: the source cell of each destination cell, and the
-    integer coefficient grid flattened into destination order."""
-    flat = tuple(chain.from_iterable(icoeffs))
-    inv = [0] * len(cells)
-    for k, d in enumerate(cells):
-        inv[d] = k
-    return tuple(inv), tuple(flat[k] for k in inv)
+def first_miss(
+    semifield: Semifield, scaled: tuple, pairs: list, rel: GreenRelation, holds: bool
+) -> int:
+    """The index of the first pair whose images ``T(a) rel T(b)`` are not
+    ``holds``, or ``len(pairs)``.  ``scaled`` is ``UnitPermutationMap.scaled``,
+    ``(L_u, inv, coeffs)``; each pair is ``(L_ab, a, b)``, integer grids at
+    one scale, as the sampling module draws it or `kernel_grids` makes it.
 
-
-def scale_map(u) -> tuple[int, tuple[int, ...], tuple]:
-    """``(L_u, inv, coeffs)``: the lcm ``L_u`` of a map's denominators, and
-    its cell map (`map_rep`) and coefficients at scale ``L_u`` in the
-    destination order the image function reads (`_destination_order`)."""
-    cells, coeffs = map_rep(u)
-    scale, (icoeffs,) = scale_grids(coeffs)
-    return (scale, *_destination_order(cells, icoeffs))
-
-
-def decide_images(semifield: Semifield, smap: tuple, pair: tuple, rel: GreenRelation) -> bool:
-    """Decide ``T(a) rel T(b)`` through `decide_grids`.
-
-    ``smap`` is the map from `scale_map` and ``pair`` a pair
-    ``(L_ab, a, b)`` of integer grids at one scale, as the sampling module
-    draws it or `kernel_grids` makes it.  With coefficients at ``L_u``,
-    the factors ``fc = L_ab // g`` and ``fx = L_u // g`` for
-    ``g = gcd(L_ab, L_u)`` give both images at scale
-    ``M = lcm(L_ab, L_u) = L_u * fc``.  The image function writes both
-    images in both orientations, so `decide` transposes nothing.  Where
-    the kernel does not take them, their lift at ``M`` is ``T(a), T(b)``.
+    The factors ``fc = L_ab // g`` and ``fx = L_u // g`` for
+    ``g = gcd(L_ab, L_u)`` give both images at ``M = lcm(L_ab, L_u) = L_u * fc``.
+    The width's image function, looked up once, writes them in both
+    orientations, so `decide` transposes nothing; `decide_grids` decides
+    them, and where the kernel does not take them, their lift at ``M`` is
+    ``T(a), T(b)``.
     """
-    scale_u, inv, coeffs = smap
-    scale_ab, ga, gb = pair
-    g = gcd(scale_ab, scale_u)
-    fc, fx = scale_ab // g, scale_u // g
-    ia, ib, ta, tb = _image_kernel(len(ga))(ga, gb, inv, coeffs, fc, fx)
-    return decide_grids(semifield, scale_u * fc, ia, ib, rel, (ta, tb))
+    scale_u, inv, coeffs = scaled
+    images = _image_kernel(isqrt(len(inv)))
+    for k, (scale_ab, ga, gb) in enumerate(pairs):
+        g = gcd(scale_ab, scale_u)
+        fc, fx = scale_ab // g, scale_u // g
+        ia, ib, ta, tb = images(ga, gb, inv, coeffs, fc, fx)
+        if decide_grids(semifield, scale_u * fc, ia, ib, rel, (ta, tb)) != holds:
+            return k
+    return len(pairs)
+
+
+# --- (num, den) adapters for the benchmark's oracles ------------------------
+
+
+def grid_of(a: Matrix) -> tuple:
+    """Extract an exact (num, den) payload grid from a tropical matrix."""
+    if a.semifield is Semifield.BOOLEAN:
+        raise ValueError("the fast path is for the tropical carriers")
+    return tuple(
+        tuple(None if (p := e.payload) is MINUS_INF else (p.numerator, p.denominator) for e in row)
+        for row in a.entries
+    )
+
+
+def scale_grids(*grids: tuple) -> tuple[int, tuple]:
+    """Scale (num, den) grids by the lcm L of their denominators.
+
+    Returns ``(L, int_grids)``, one integer grid per input, in order;
+    ``None`` (-inf) stays ``None``.
+    """
+    scale = lcm(*{x[1] for g in grids for row in g for x in row if x is not None})
+    return scale, tuple(
+        tuple(
+            tuple(None if x is None else x[0] * (scale // x[1]) for x in row)
+            for row in g
+        )
+        for g in grids
+    )
+
+
+def related(agrid: tuple, bgrid: tuple, rel: GreenRelation) -> bool:
+    """Decide ``a rel b`` for (num, den) grids."""
+    _, (a, b) = scale_grids(agrid, bgrid)
+    return decide(a, b, rel)
+
+
+def map_rep(u) -> tuple[tuple[int, ...], tuple]:
+    """A unit-permutation map as (its cell map ``u.cells``, (num, den) coefficient grid)."""
+    return u.cells, tuple(
+        tuple((c.payload.numerator, c.payload.denominator) for c in row) for row in u.alpha
+    )
 
 
 def apply_map(cells: tuple[int, ...], coeffs: tuple, xgrid: tuple, n: int) -> tuple:
     """Apply a map to a (num, den) grid; the image is a (num, den) grid
     whose fractions are not necessarily reduced."""
     scale, (icoeffs, ix) = scale_grids(coeffs, xgrid)
-    image = _image_kernel(n)(ix, ix, *_destination_order(cells, icoeffs), 1, 1)[0]
+    flat = tuple(chain.from_iterable(icoeffs))
+    inv = sorted(range(n * n), key=cells.__getitem__)  # the source cell of each destination cell
+    image = _image_kernel(n)(ix, ix, inv, [flat[k] for k in inv], 1, 1)[0]
     return tuple(tuple(None if v is None else (v, scale) for v in row) for row in image)

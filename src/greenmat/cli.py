@@ -52,9 +52,7 @@ _SEMIFIELD_CHOICES = [s.value for s in Semifield]
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int = 2):
-        super().__init__(message)
-        self.code = code
+    """A request that ends in one ``error:`` line and exit 2."""
 
 
 def format_json(obj) -> str:
@@ -103,10 +101,16 @@ def _unique_keys(pairs):
     return obj
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
+            text = fh.read()
+        if text.startswith("\ufeff"):  # json.loads' own test, which decode lacks
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc}") from None
     except (ValueError, RecursionError) as exc:
@@ -273,10 +277,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except ParseError as exc:
+    except (_CliError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError as exc:

@@ -123,6 +123,19 @@ class UnitPermutationMap:
         n = self.n
         return tuple(k * n + l for row in self.sigma for k, l in row)
 
+    @functools.cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """The kernel form ``(L_u, inv, coeffs)`` that `_tropfast.first_miss`
+        reads: the lcm ``L_u`` of the coefficients' denominators, the source
+        cell of each destination cell, and the coefficients at scale ``L_u``
+        in destination order.  Every payload here, an int, a Fraction or the
+        boolean one, has a numerator and a denominator."""
+        payloads = [c.payload for row in self.alpha for c in row]
+        scale = lcm(*(p.denominator for p in payloads))
+        inv = tuple(sorted(range(len(payloads)), key=self.cells.__getitem__))
+        ordered = [payloads[k] for k in inv]
+        return scale, inv, tuple(p.numerator * (scale // p.denominator) for p in ordered)
+
 
 class NonCanonicalReason(enum.Enum):
     NOT_UNIT_PERMUTATION = "NotUnitPermutation"
@@ -480,11 +493,10 @@ def _check_randomized(
 ) -> tuple[int, CounterexamplePair | None]:
     """Seeded related (and in strong mode unrelated) pairs for each direction.
 
-    The map is scaled once, each pair is drawn as integer grids, and each
-    pair is checked by `first_counterexample` as soon as it is drawn.
+    Each pair is drawn as integer grids and checked by
+    `first_counterexample` as soon as it is drawn.
     """
     rng = random.Random(mode.seed)
-    smap = _tropfast.scale_map(u)
     draws = (sampling.related_grids, sampling.unrelated_grids)[: 2 if strong else 1]
     checked = 0
     for _ in range(mode.trials):
@@ -494,32 +506,30 @@ def _check_randomized(
                 if pair is None:  # the unrelated draw gave up
                     continue
                 checked += 1
-                _, cx = first_counterexample(u, smap, [pair], src, dst, holds)
+                _, cx = first_counterexample(u, [pair], src, dst, holds)
                 if cx is not None:
                     return checked, cx
     return checked, None
 
 
 def first_counterexample(
-    u: UnitPermutationMap, smap: tuple, pairs: list, src: GreenRelation, dst: GreenRelation,
-    holds: bool,
+    u: UnitPermutationMap, pairs: list, src: GreenRelation, dst: GreenRelation, holds: bool
 ) -> tuple[int, CounterexamplePair | None]:
     """The count of ``pairs`` checked, and the first ``(a, b)`` among them
     with ``u(a) dst u(b)`` not ``holds`` as a `_reverified_counterexample`,
     or None.  Both randomized map loops decide their pairs here.
 
-    ``smap`` is `_tropfast.scale_map(u)` and ``pairs`` holds each pair as
-    ``(L, a, b)``, integer grids at one scale, as `sampling.related_grids`
-    draws it.  `_tropfast.decide_images` decides every pair's images, on
-    the kernel or by the reference; only a counterexample is lifted to
-    matrices.
+    ``pairs`` holds each pair as ``(L, a, b)``, integer grids at one scale,
+    as `sampling.related_grids` draws it.  One `_tropfast.first_miss` call
+    decides the images of the whole pool under the map's kernel form
+    `UnitPermutationMap.scaled`, on the kernel or by the reference; only a
+    counterexample is lifted to matrices.
     """
-    sf = u.semifield
-    for checked, pair in enumerate(pairs, 1):
-        if _tropfast.decide_images(sf, smap, pair, dst) != holds:
-            a, b = sampling.lift_pair(sf, pair)
-            return checked, _reverified_counterexample(u, a, b, src, dst, holds)
-    return len(pairs), None
+    miss = _tropfast.first_miss(u.semifield, u.scaled, pairs, dst, holds)
+    if miss == len(pairs):
+        return miss, None
+    a, b = sampling.lift_pair(u.semifield, pairs[miss])
+    return miss + 1, _reverified_counterexample(u, a, b, src, dst, holds)
 
 
 def _reverified_counterexample(u, a, b, src, dst, holds: bool):

@@ -517,6 +517,49 @@ class TestParsing:
         path.write_bytes(data)
         self._assert_one_line_error(run(["rank", str(path)]), needle)
 
+    # the error line of each file, recorded when every file had a decoder
+    # of its own (json.load with object_pairs_hook); {} is the file's path
+    _BAD_FILES = {
+        "bom": (
+            b'\xef\xbb\xbf{"semifield": "boolean", "rows": 1, "cols": 1, "entries": [["1"]]}',
+            "error: {} is not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)\n",
+        ),
+        "duplicate-key": (
+            b'{"semifield": "boolean", "rows": 1, "rows": 1, "cols": 1, "entries": [["1"]]}',
+            "error: {} is not valid JSON: duplicate key 'rows'\n",
+        ),
+        "malformed": (
+            b'{"semifield": "boolean", "rows": 1,',
+            "error: {} is not valid JSON: Expecting property name enclosed in double quotes: "
+            "line 1 column 36 (char 35)\n",
+        ),
+        "not-utf8": (
+            b"\xff\xfe{}",
+            "error: {} is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte\n",
+        ),
+        "deep-nesting": (
+            b"[" * 100000 + b"]" * 100000,
+            "error: {} is not valid JSON: maximum recursion depth exceeded while decoding "
+            "a JSON array from a unicode string\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(_BAD_FILES))
+    def test_bad_file_error_line_is_unchanged(self, tmp_path, name):
+        # alone, after a valid file in the same request, and after a valid
+        # request in the same process: the shared decoder keeps no state
+        data, line = self._BAD_FILES[name]
+        good = write_json(tmp_path / "good.json", matrix_to_json(mx.from_rows(B, [[1]])))
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(data)
+        expected = (2, "", line.format(path))
+        assert run(["rank", str(path)]) == expected
+        assert run(["relate", "--rel", "L", good, str(path)]) == expected
+        assert run(["rank", good])[0] == 0
+        assert run(["rank", str(path)]) == expected
+
     def test_wrong_arity(self, capsys, tmp_path):
         obj = matrix_to_json(zero_matrix(B, 2, 2))
         obj["entries"][1] = ["0"]

@@ -360,12 +360,17 @@ def _assert_decide_matches_reference(a, b):
         assert _tropfast.decide(ga, gb, rel) == relate(a, b, rel), rel
 
 
+def _image_verdict(sf, scaled, pair, rel):
+    """The verdict on ``T(a) rel T(b)`` that `first_miss` gives for a pool
+    of the one pair ``(L, a, b)``: it misses nothing when they are related."""
+    return _tropfast.first_miss(sf, scaled, [pair], rel, True) == 1
+
+
 def _assert_images_match_reference(u, a, b):
     """The image function gives u(a), u(b) and their transposes at the
-    pair's common scale with the map, and `decide_images` gives the
+    pair's common scale with the map, and `first_miss` gives the
     verdicts of ``green.relate`` on u(a), u(b).  Returns ``(fc, fx)``."""
-    smap = _tropfast.scale_map(u)
-    scale_u, inv, coeffs = smap
+    scale_u, inv, coeffs = u.scaled
     scaled = _tropfast.kernel_grids(a, b, GR.L)
     scale_ab, ga, gb = scaled
     common = lcm(scale_u, scale_ab)
@@ -377,7 +382,7 @@ def _assert_images_match_reference(u, a, b):
         lifted = [[None if v is None else Fraction(v, common) for v in row] for row in grid]
         assert lifted == _values(image)
     for rel in _FAST_RELS:
-        assert _tropfast.decide_images(u.semifield, smap, scaled, rel) == relate(ua, ub, rel), rel
+        assert _image_verdict(u.semifield, u.scaled, scaled, rel) == relate(ua, ub, rel), rel
     return fc, fx
 
 
@@ -431,9 +436,9 @@ class TestTropfast:
             "    g = tuple((0,) * n for _ in range(n))\n"
             "    for rel in (GR.H, GR.R, GR.LEQ_R):\n"
             "        tf.decide(g, g, rel)\n"
-            "    smap = (1, tuple(range(n * n)), (0,) * (n * n))\n"
+            "    scaled = (1, tuple(range(n * n)), (0,) * (n * n))\n"
             "    for rel in (GR.H, GR.L):\n"
-            "        tf.decide_images(Semifield.TROPICAL, smap, (1, g, g), rel)\n"
+            "        tf.first_miss(Semifield.TROPICAL, scaled, [(1, g, g)] * 2, rel, True)\n"
             "    seen.append(sizes())\n"
             "print(seen)\n"
         )
@@ -923,8 +928,8 @@ def _over_cap_map(canonical):
     return lm.UnitPermutationMap(2, T, sigma, coeffs)
 
 
-class TestDecideImages:
-    """`_tropfast.decide_images`, the map application both randomized map
+class TestFirstMiss:
+    """`_tropfast.first_miss`, the map application both randomized map
     loops share, agrees with `linear_maps.apply` and `green.relate`."""
 
     def test_images_and_verdicts_match_reference(self, monkeypatch):
@@ -940,16 +945,15 @@ class TestDecideImages:
         kinds = ("standard", "transpose", "noncanonical")
         for sf, n, kind, rel in itertools.product((T, TI), (1, 2, 3), kinds, _FAST_RELS):
             u = _seeded_map(sf, n, kind, rng.randrange(2**31))
-            smap = _tropfast.scale_map(u)
             related = sampling.related_pair(rng, sf, n, rel)
             other = sampling.random_matrix(rng, sf, n), sampling.random_matrix(rng, sf, n)
             for a, b in (related, other):
                 scaled = _tropfast.kernel_grids(a, b, rel)
                 grids.clear()
-                verdict = _tropfast.decide_images(sf, smap, scaled, rel)
+                verdict = _image_verdict(sf, u.scaled, scaled, rel)
                 ta, tb = lm.apply(u, a), lm.apply(u, b)
                 assert verdict == relate(ta, tb, rel), (sf, n, kind, rel)
-                common = lcm(scaled[0], smap[0])
+                common = lcm(scaled[0], u.scaled[0])
                 ((ga, gb, transposes),) = grids
                 # the images come with their transposes, so decide builds none
                 assert transposes == (_tropfast.transpose_grid(ga), _tropfast.transpose_grid(gb))
@@ -958,6 +962,32 @@ class TestDecideImages:
                         [None if v is None else Fraction(v, common) for v in row] for row in grid
                     ]
                     assert lifted == _values(image), (sf, n, kind, rel)
+
+    @pytest.mark.parametrize("sf", (T, TI))
+    def test_pool_stops_at_its_first_miss(self, sf):
+        # related and random pairs, each at its own scale, in one pool: the
+        # index is the first whose images the reference decides otherwise
+        # than holds says, or the pool's length
+        rng = random.Random(30)
+        kinds = ("standard", "transpose", "noncanonical")
+        for n, kind, rel in itertools.product((1, 2, 3), kinds, _FAST_RELS):
+            u = _seeded_map(sf, n, kind, rng.randrange(2**31))
+            pool = [sampling.related_grids(rng, sf, n, rel) for _ in range(4)]
+            pool += [
+                _tropfast.kernel_grids(
+                    sampling.random_matrix(rng, sf, n), sampling.random_matrix(rng, sf, n), rel
+                )
+                for _ in range(4)
+            ]
+            rng.shuffle(pool)
+            verdicts = []
+            for pair in pool:
+                a, b = sampling.lift_pair(sf, pair)
+                verdicts.append(relate(lm.apply(u, a), lm.apply(u, b), rel))
+            for holds in (True, False):
+                first = next((k for k, v in enumerate(verdicts) if v != holds), len(pool))
+                assert _tropfast.first_miss(sf, u.scaled, pool, rel, holds) == first
+            assert _tropfast.first_miss(sf, u.scaled, [], rel, True) == 0
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_images_match_reference_exhaustively(self, n):
@@ -979,9 +1009,7 @@ class TestDecideImages:
             u = lm.UnitPermutationMap(n, T, sigma, alpha)
             for x, y in zip(mats, reversed(mats)):
                 assert _assert_images_match_reference(u, x, y) == (1, 2)
-            smap = _tropfast.scale_map(
-                lm.UnitPermutationMap(n, T, sigma, tuple((zero,) * n for _ in range(n)))
-            )
+            scaled = lm.UnitPermutationMap(n, T, sigma, tuple((zero,) * n for _ in range(n))).scaled
             image = []
             for g in grids:
                 flat = [None] * (n * n)
@@ -991,7 +1019,7 @@ class TestDecideImages:
             for rel in _FAST_RELS:
                 for i, ga in enumerate(grids):
                     expected = table[rel][image[i]]
-                    got = [_tropfast.decide_images(T, smap, (1, ga, gb), rel) for gb in grids]
+                    got = [_image_verdict(T, scaled, (1, ga, gb), rel) for gb in grids]
                     assert got == [expected[j] for j in image], (perm, rel, ga)
 
     @settings(max_examples=80, deadline=None)
@@ -1041,10 +1069,10 @@ class TestDecideImages:
 
         def decider(map_den, x):
             alpha = ((semiring.value(T, Fraction(1, map_den)),),)
-            smap = _tropfast.scale_map(lm.UnitPermutationMap(1, T, (((0, 0),),), alpha))
+            scaled = lm.UnitPermutationMap(1, T, (((0, 0),),), alpha).scaled
             calls.clear()
             pair = _tropfast.kernel_grids(x, x, GR.L)
-            assert _tropfast.decide_images(T, smap, pair, GR.L) is True
+            assert _tropfast.first_miss(T, scaled, [pair], GR.L, True) == 1
             return {(): "kernel", (("relate", True),): "reference"}[tuple(calls)]
 
         assert decider(2 ** (cap - 1), zero) == "kernel"
@@ -1078,12 +1106,15 @@ class TestDecideImages:
         def check():
             return lm.check_preservation(u, GR.H, mode, strong=True)
 
-        def reference(sf, smap, pair, rel):
-            a, b = sampling.lift_pair(sf, pair)
-            return relate(lm.apply(u, a), lm.apply(u, b), rel)
+        def reference(sf, scaled, pairs, rel, holds):
+            for k, pair in enumerate(pairs):
+                a, b = sampling.lift_pair(sf, pair)
+                if relate(lm.apply(u, a), lm.apply(u, b), rel) != holds:
+                    return k
+            return len(pairs)
 
         with monkeypatch.context() as m:
-            m.setattr(_tropfast, "decide_images", reference)
+            m.setattr(_tropfast, "first_miss", reference)
             expected = _verdict_text(check())
         applied, decided, reverified = [], [], []
         _spy(monkeypatch, lm, "apply", applied)

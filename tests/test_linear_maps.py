@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import json
+import math
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -235,6 +238,71 @@ class TestClassify:
         assert u.cells == (1, 0, 3, 2)
         assert u == v and v == u and hash(u) == hash(v)
         assert u != unit_map_from_cells((0, 1, 3, 2), 2)
+
+
+def _scaled_reference(u):
+    """The kernel form of a map composed as it was before
+    `UnitPermutationMap.scaled`: the (num, den) coefficient grid, scaled
+    by the lcm of its denominators, then put in destination order."""
+    coeffs = [
+        (p.numerator, p.denominator) if isinstance(p, Fraction) else (p, 1)
+        for p in (c.payload for row in u.alpha for c in row)
+    ]
+    scale = lcm(*{den for _, den in coeffs})
+    ints = [num * (scale // den) for num, den in coeffs]
+    inv = [0] * len(u.cells)
+    for k, d in enumerate(u.cells):
+        inv[d] = k
+    return scale, tuple(inv), tuple(ints[k] for k in inv)
+
+
+def _map_with_coefficients(cells, n, sf, coefficient):
+    sigma = tuple(tuple(divmod(cells[i * n + j], n) for j in range(n)) for i in range(n))
+    alpha = tuple(tuple(sr.value(sf, coefficient()) for _ in range(n)) for _ in range(n))
+    return UnitPermutationMap(n, sf, sigma, alpha)
+
+
+class TestScaled:
+    """`UnitPermutationMap.scaled`, the one kernel form of a map."""
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_every_cell_map_matches_the_reference(self, n):
+        rng = random.Random(30 + n)
+        draws = {
+            T: lambda: Fraction(rng.randrange(-40, 40), rng.randrange(1, 13)),
+            TI: lambda: rng.randrange(-40, 40),
+            B: lambda: 1,
+        }
+        for cells in itertools.permutations(range(n * n)):
+            for sf, coefficient in draws.items():
+                u = _map_with_coefficients(cells, n, sf, coefficient)
+                assert u.scaled == _scaled_reference(u), (sf, cells)
+                assert all(type(c) is int for c in u.scaled[2])
+
+    def test_large_coprime_denominators_match_the_reference(self):
+        rng = random.Random(2024)
+        for _ in range(200):
+            cells = list(range(9))
+            rng.shuffle(cells)
+            dens = []
+            while len(dens) < 9:
+                d = rng.randrange(2**40, 2**64)
+                if all(math.gcd(d, e) == 1 for e in dens):
+                    dens.append(d)
+            it = iter(dens)
+            u = _map_with_coefficients(
+                cells, 3, T, lambda: Fraction(rng.randrange(-(2**64), 2**64), next(it))
+            )
+            assert u.scaled == _scaled_reference(u)
+
+    def test_reading_scaled_keeps_equality_and_hash(self):
+        third = sr.value(T, Fraction(1, 3))
+        sigma = (((0, 1), (0, 0)), ((1, 1), (1, 0)))
+        alpha = ((third, sr.value(T, 2)), (sr.value(T, Fraction(-1, 2)), third))
+        u, v = UnitPermutationMap(2, T, sigma, alpha), UnitPermutationMap(2, T, sigma, alpha)
+        assert u.scaled == (6, (1, 0, 3, 2), (12, 2, 2, -3))
+        assert u == v and v == u and hash(u) == hash(v)
+        assert u != UnitPermutationMap(2, T, sigma, (alpha[1], alpha[0]))
 
     @settings(max_examples=50)
     @given(st.data())
